@@ -9,6 +9,7 @@ justify it, so callers can decide what a failure means.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -48,18 +49,25 @@ class RealizationCertificate:
         return self.ok
 
     def to_dict(self) -> dict:
+        """JSON-ready fields; a non-finite float (a NaN or infinite
+        residual or eigenvalue) becomes None, so that a failing
+        certificate can still be written as strict JSON."""
         return {
             "ok": self.ok,
             "checks": dict(self.checks),
             "thresholds": dict(self.thresholds),
-            "spectrum_residual": self.spectrum_residual,
-            "diag_residual": self.diag_residual,
-            "min_entry": self.min_entry,
-            "row_sum_deviation": self.row_sum_deviation,
+            "spectrum_residual": _finite(self.spectrum_residual),
+            "diag_residual": _finite(self.diag_residual),
+            "min_entry": _finite(self.min_entry),
+            "row_sum_deviation": _finite(self.row_sum_deviation),
             "computed_spectrum": [
-                [z.real, z.imag] for z in self.computed_spectrum
+                [_finite(z.real), _finite(z.imag)] for z in self.computed_spectrum
             ],
         }
+
+
+def _finite(x):
+    return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
 def certify(

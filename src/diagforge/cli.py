@@ -2,8 +2,9 @@
 
 Problems arrive as JSON files; results leave as JSON on stdout or a
 file.  Exit codes: 0 success, 1 failed verification verdict, 2 invalid
-input, 3 infeasible construction, 4 self-certification failure (the
-last one indicates a library bug, not a bad problem).
+input, 3 infeasible construction, 4 self-certification failure or an
+iterative routine that did not converge (both indicate a library fault,
+not a bad problem).
 
 Scalar encoding in problem files: integers and floats as JSON numbers,
 rationals as "p/q" strings, complex values as two-element [re, im]
@@ -22,7 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .certify import certify
-from .errors import CertificationError, FeasibilityError
+from .errors import CertificationError, ConvergenceError, FeasibilityError
 from .matrix import DenseMatrix
 from .nonneg import Spectrum, classify, realize_mixed
 from .scalars import ComplexRational, exact_complex, is_exact, is_real, to_float
@@ -363,6 +364,9 @@ def main(argv: Optional[list] = None) -> int:
         if exc.certificate is not None:
             doc["certificate"] = exc.certificate.to_dict()
         write_output(doc, args.output)
+        return 4
+    except ConvergenceError as exc:
+        write_output({"status": "convergence-failure", "error": str(exc)}, args.output)
         return 4
     except (ProblemError, ValueError, TypeError, KeyError) as exc:
         write_output({"status": "error", "error": str(exc)}, args.output)

@@ -757,7 +757,15 @@ def all_nonzero_eigenvector(
     scale = max(1.0, A.max_abs())
     if A.is_scalar_matrix(tol=1e-12 * scale):
         raise ValueError("scalar matrix: eigenvector search is degenerate")
-    est = eigenvalues(A)
+    return _nonzero_eigenvector(A, eigenvalues(A), zero_tol, tol)
+
+
+def _nonzero_eigenvector(
+    A: DenseMatrix, est: SpectrumEstimate, zero_tol: float, tol: float
+) -> Optional[EigenPair]:
+    """The search of :func:`all_nonzero_eigenvector` over a spectrum
+    ``est`` of A that the caller has already computed."""
+    scale = max(1.0, A.max_abs())
     groups: list[list[complex]] = []
     for lam in est.values:
         if groups and abs(lam - groups[-1][0]) <= 1e-7 * scale:
@@ -796,12 +804,16 @@ def match_multisets(computed: Sequence, target: Sequence) -> MatchResult:
 
     Both sequences are interpreted as complex multisets and must have the
     same length.  Returns the pairing (index_computed, index_target,
-    distance) and the largest matched distance.
+    distance) and the largest matched distance, which is ``inf`` when any
+    value on either side is not finite: a NaN distance would otherwise
+    compare as a perfect match.
     """
     a = [complex(to_float(z)) for z in computed]
     b = [complex(to_float(z)) for z in target]
     if len(a) != len(b):
         raise ValueError("multiset size mismatch")
+    if not all(cmath.isfinite(z) for z in a + b):
+        return MatchResult((), math.inf)
     left = set(range(len(a)))
     right = set(range(len(b)))
     pairs = []

@@ -324,8 +324,8 @@ def suleimanova_primitive(spectrum) -> DenseMatrix:
         rows[i + 1][i] = y
         rows[i + 1][i + 1] = x
         i += 2
-    for k in range(1, n):
-        assert rows[k][0] >= 0, "template first column went negative"
+    if not all(rows[k][0] >= 0 for k in range(1, n)):
+        raise CertificationError("template first column went negative")
     return DenseMatrix(rows)
 
 
@@ -351,7 +351,8 @@ def realize_suleimanova(spectrum, gammas, tol: float = 1e-9) -> DenseMatrix:
         )
     B = set_diagonal_cs(T, target, tol=tol)
     floor = 0 if B.exact else -1e-12 * max(1.0, B.max_abs())
-    assert B.min_real_entry() >= floor, "wedge realization produced a negative entry"
+    if not B.min_real_entry() >= floor:
+        raise CertificationError("wedge realization produced a negative entry")
     return B
 
 

@@ -251,8 +251,12 @@ def similar_with_diagonal(
       row-sum form, rewrite.
 
     Returns (B, trace); replaying the trace on A reproduces B.  The output
-    is certified internally: diagonal written exactly, eigenvalues of A
-    and B matched within a relative tolerance.
+    is certified once, on its own backend (see :func:`_certified`): the
+    diagonal is checked for equality, and the spectrum by char-poly
+    identity for an exact B or by matching B's float QR spectrum to that
+    of A for a float B.  On the float route the spectrum of A (converted
+    to floats) is computed once and serves both the eigenvector search
+    and the certification.
     """
     target = as_diagonal_target(gammas)
     n = A.n
@@ -282,7 +286,7 @@ def similar_with_diagonal(
         q = tuple(g - d for g, d in zip(target.gammas, A.diagonal()))
         B = set_diagonal_cs(A, target, tol=tol)
         steps.append(TraceStep("rank_one", q))
-        return _certified(A, B, target, tol, steps)
+        return _certified(A, B, target, steps)
 
     if exact_mode and A.is_diagonal():
         M = embed_anchor(A, 0)
@@ -293,18 +297,19 @@ def similar_with_diagonal(
         q = tuple(g - x for g, x in zip(target.gammas, N.diagonal()))
         B = set_diagonal_cs(N, target, tol=tol)
         steps.append(TraceStep("rank_one", q))
-        return _certified(A, B, target, tol, steps)
+        return _certified(A, B, target, steps)
 
     # float route
+    from .eigen import _nonzero_eigenvector, all_nonzero_eigenvector, eigenvalues
+
     Af = A.to_float()
+    spec_a = eigenvalues(Af)
     gf = DiagonalTarget(tuple(to_float(g) for g in target.gammas), target.mode)
     if A.exact:
         steps.append(TraceStep("to_float"))
     M = Af
     if is_constant_row_sum(Af, tol=tol) is None:
-        from .eigen import all_nonzero_eigenvector
-
-        pair = all_nonzero_eigenvector(Af, zero_tol=zero_tol, tol=tol)
+        pair = _nonzero_eigenvector(Af, spec_a, zero_tol, tol)
         anchor_used: Optional[int] = None
         if pair is None:
             for i in range(n):
@@ -328,23 +333,34 @@ def similar_with_diagonal(
     q = tuple(g - x for g, x in zip(gf.gammas, M.diagonal()))
     B = set_diagonal_cs(M, gf, tol=max(tol, 1e-6))
     steps.append(TraceStep("rank_one", q))
-    return _certified(A, B, target, tol, steps)
+    return _certified(A, B, target, steps, spec_a)
 
 
-def _certified(A, B, target, tol, steps):
-    from .eigen import eigenvalues, match_multisets
+def _certified(A, B, target, steps, spec_a=None):
+    """Return (B, its trace) once B passes self-certification.
 
-    # exact matrices keep the exact backend here: the engine resolves
-    # their multiple eigenvalues exactly instead of at float precision
-    est_a = eigenvalues(A)
-    est_b = eigenvalues(B)
-    lam_scale = max(1.0, max(abs(v) for v in est_a.values))
-    m = match_multisets(est_b.values, est_a.values)
+    The diagonal must equal the target exactly.  An exact B must have the
+    same characteristic polynomial as A over Q or Q(i), with no
+    tolerance.  A float B must have a QR spectrum within
+    SPECTRUM_CERT_TOL (relative to the largest modulus in ``spec_a``) of
+    ``spec_a``, the float spectrum of A computed by the caller.  A
+    non-finite spectrum never matches.
+    """
+    from .eigen import char_poly, eigenvalues, match_multisets
+
     gs = _match_backend(target.gammas, B)
     diag_ok = all(x == g for x, g in zip(B.diagonal(), gs))
-    if not diag_ok or m.max_distance > SPECTRUM_CERT_TOL * lam_scale:
+    if B.exact:
+        spectrum_ok = char_poly(B) == char_poly(A)
+        detail = f"char poly identical: {spectrum_ok}"
+    else:
+        lam_scale = max(1.0, max(abs(v) for v in spec_a.values))
+        m = match_multisets(eigenvalues(B).values, spec_a.values)
+        spectrum_ok = m.max_distance <= SPECTRUM_CERT_TOL * lam_scale
+        detail = f"spectrum distance: {m.max_distance:.3e}"
+    if not (diag_ok and spectrum_ok):
         raise CertificationError(
             "constructed matrix failed self-certification "
-            f"(diag ok: {diag_ok}, spectrum distance: {m.max_distance:.3e})"
+            f"(diag ok: {diag_ok}, {detail})"
         )
     return B, SimilarityTrace(steps)

@@ -1,8 +1,12 @@
+import importlib
 import json
 
 import pytest
 
+import diagforge.eigen
 from diagforge.cli import main
+from diagforge.eigen import SpectrumEstimate
+from diagforge.errors import ConvergenceError
 
 
 def run(tmp_path, problem, *args):
@@ -147,6 +151,41 @@ class TestSimilar:
     def test_missing_matrix(self, tmp_path):
         code, _, _ = run(tmp_path, {"diagonal": [1]}, "similar")
         assert code == 2
+
+    def test_convergence_failure_is_exit_four(self, tmp_path, monkeypatch):
+        def stalled(A, tol=1e-10):
+            raise ConvergenceError("QR iteration did not converge within 0 sweeps")
+
+        monkeypatch.setattr(diagforge.eigen, "eigenvalues", stalled)
+        problem = {
+            "matrix": [[4, 1, 0], [2, -1, 3], [0, 5, 2]],
+            "diagonal": [5, 1, -1],
+        }
+        code, doc, _ = run(tmp_path, problem, "similar")
+        assert code == 4
+        assert doc == {
+            "status": "convergence-failure",
+            "error": "QR iteration did not converge within 0 sweeps",
+        }
+
+
+class TestNonFiniteSpectrum:
+    def test_nan_spectrum_is_a_certification_failure(self, tmp_path, monkeypatch):
+        def nan_spectrum(B, tol=1e-10):
+            return SpectrumEstimate((complex(float("nan"), 0.0),) * B.n, 0.0)
+
+        # the package re-exports the function certify under the module's name
+        certify_module = importlib.import_module("diagforge.certify")
+        monkeypatch.setattr(certify_module, "eigenvalues", nan_spectrum)
+        problem = {"spectrum": [5, -1, -2], "diagonal": [1, 1, 0]}
+        code, doc, _ = run(tmp_path, problem, "realize", "--exact")
+        assert code == 4
+        assert doc["status"] == "certification-failure"
+        cert = doc["certificate"]
+        assert cert["ok"] is False
+        assert cert["checks"]["spectrum"] is False
+        assert cert["spectrum_residual"] is None
+        assert cert["computed_spectrum"] == [[None, 0.0]] * 3
 
 
 class TestVerify:

@@ -235,3 +235,10 @@ def test_match_multisets_reports_worst_distance():
     assert m.max_distance == pytest.approx(0.5)
     with pytest.raises(ValueError):
         match_multisets([1.0], [1.0, 2.0])
+
+
+def test_match_multisets_never_matches_non_finite_values():
+    nan, inf = float("nan"), float("inf")
+    assert match_multisets([nan, 1.0], [1.0, 2.0]).max_distance == inf
+    assert match_multisets([1.0, 2.0], [2.0, complex(1.0, nan)]).max_distance == inf
+    assert match_multisets([inf], [inf]).max_distance == inf

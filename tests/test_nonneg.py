@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagforge.eigen import char_poly, eigenvalues, match_multisets
-from diagforge.errors import FeasibilityError
+from diagforge.errors import CertificationError, FeasibilityError
 from diagforge.matrix import DenseMatrix, row_sums
 from diagforge.nonneg import (
     Spectrum,
@@ -160,6 +160,16 @@ class TestSuleimanova:
     def test_realize_negative_diagonal(self):
         with pytest.raises(ValueError):
             realize_suleimanova([5, -1, -2], (3, -1, 0))
+
+    def test_negative_entry_is_a_certification_error(self, monkeypatch):
+        import diagforge.nonneg
+
+        def negative_entry(T, target, tol=1e-9):
+            return DenseMatrix([[1, 2, 2], [2, 1, 2], [-1, 6, 0]])
+
+        monkeypatch.setattr(diagforge.nonneg, "set_diagonal_cs", negative_entry)
+        with pytest.raises(CertificationError, match="negative entry"):
+            realize_suleimanova([5, -1, -2], (1, 1, 0))
 
 
 @st.composite

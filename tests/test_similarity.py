@@ -1,13 +1,16 @@
+import cmath
 import random
 from fractions import Fraction
 
 import pytest
 
+import diagforge.eigen
 from diagforge.eigen import char_poly, eigenvalues, match_multisets, right_eigenvector
-from diagforge.errors import FeasibilityError
+from diagforge.errors import CertificationError, FeasibilityError
 from diagforge.matrix import DenseMatrix
 from diagforge.similarity import (
     DiagonalTarget,
+    _certified,
     brauer_shift,
     embed_anchor,
     set_diagonal_cs,
@@ -155,3 +158,98 @@ class TestSimilarWithDiagonal:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
             similar_with_diagonal(DenseMatrix.diagonal_matrix([1, 2, 3]), (3, 3))
+
+
+def _jordan_conjugate(seed):
+    """Integer P J P^-1 for a Jordan form J with 2x2 blocks, P unimodular,
+    plus an integer target diagonal with the right trace."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 8)
+    J = [[0] * n for _ in range(n)]
+    for i in range(n):
+        J[i][i] = rng.randint(-3, 3)
+    for b in range(rng.randint(1, n // 2)):
+        k = 2 * b
+        if k + 1 >= n:
+            break
+        J[k + 1][k + 1] = J[k][k]
+        J[k][k + 1] = 1
+    P = [[int(i == j) for j in range(n)] for i in range(n)]
+    P_inv = [row[:] for row in P]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        # P <- (I + c e_i e_j^T) P and P^-1 <- P^-1 (I - c e_i e_j^T)
+        P[i] = [a + c * b for a, b in zip(P[i], P[j])]
+        for r in P_inv:
+            r[j] -= c * r[i]
+    A = DenseMatrix(P) @ DenseMatrix(J) @ DenseMatrix(P_inv)
+    gammas = [rng.randint(-3, 3) for _ in range(n - 1)]
+    gammas.append(A.trace() - sum(gammas))
+    return A, J, tuple(gammas)
+
+
+class TestCertification:
+    def test_dense_integer_input_skips_the_exact_char_poly(self, monkeypatch):
+        def no_char_poly(A):
+            raise RuntimeError("exact char poly computed for a float output")
+
+        spectra = []
+        real_eigenvalues = diagforge.eigen.eigenvalues
+
+        def counted(A, *args, **kwargs):
+            est = real_eigenvalues(A, *args, **kwargs)
+            spectra.append(est)
+            return est
+
+        monkeypatch.setattr(diagforge.eigen, "char_poly", no_char_poly)
+        monkeypatch.setattr(diagforge.eigen, "eigenvalues", counted)
+        rng = random.Random(20)
+        n = 20
+        a = DenseMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+        gammas = [rng.randint(-9, 9) for _ in range(n - 1)]
+        gammas.append(a.trace() - sum(gammas))
+        b, trace = similar_with_diagonal(a, tuple(gammas))
+        assert b.diagonal() == tuple(float(g) for g in gammas)
+        assert [s.op for s in trace] == ["to_float", "scale", "rank_one"]
+        # once for A (eigenvector search and certification), once for B
+        assert len(spectra) == 2
+        assert all(cmath.isfinite(z) for est in spectra for z in est.values)
+
+    def test_tampered_float_output_is_rejected(self):
+        a = DenseMatrix([[4, 1, 0, 2], [2, -1, 3, 1], [0, 5, 2, 2], [1, 1, 1, 3]])
+        target = DiagonalTarget((5, 1, 0, 2))
+        b, trace = similar_with_diagonal(a, target)
+        spec_a = eigenvalues(a.to_float())
+        _certified(a, b, target, list(trace), spec_a)
+        rows = b.to_lists()
+        rows[0][1] += 1.0
+        with pytest.raises(CertificationError, match="spectrum distance"):
+            _certified(a, DenseMatrix(rows), target, list(trace), spec_a)
+
+    @pytest.mark.parametrize(
+        "a, gammas",
+        [(CS3, (2, 0, 0)), (DenseMatrix.diagonal_matrix([1, 2, 3]), (2, 2, 2))],
+        ids=["constant-row-sum", "diagonal"],
+    )
+    def test_exact_routes_reject_a_different_char_poly(self, a, gammas):
+        target = DiagonalTarget(gammas)
+        b, trace = similar_with_diagonal(a, target)
+        assert b.exact
+        rows = b.to_lists()
+        rows[0][1] += 1
+        tampered = DenseMatrix(rows)
+        assert tampered.diagonal() == b.diagonal()
+        with pytest.raises(CertificationError, match="char poly identical: False"):
+            _certified(a, tampered, target, list(trace))
+
+    @pytest.mark.parametrize("seed", [20, 22, 28, 31])
+    def test_jordan_block_conjugates_certify(self, seed):
+        a, J, gammas = _jordan_conjugate(seed)
+        b, trace = similar_with_diagonal(a, gammas)
+        assert b.diagonal() == tuple(float(g) for g in gammas)
+        assert trace.steps[0].op == "to_float"
+        jordan = [complex(J[i][i]) for i in range(a.n)]
+        scale = max(1.0, max(abs(z) for z in jordan))
+        m = match_multisets(eigenvalues(b).values, jordan)
+        assert m.max_distance <= 1e-7 * scale
