@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -45,6 +46,8 @@ def parse_scalar(raw, exact_only: bool):
     if isinstance(raw, int):
         return raw
     if isinstance(raw, float):
+        if not math.isfinite(raw):
+            raise ProblemError(f"{raw!r} is not a finite number")
         if exact_only:
             raise ProblemError(f"float {raw!r} not allowed with --exact")
         return raw
@@ -194,80 +197,63 @@ def cmd_realize(args) -> int:
     mode = _setting(args, doc, "mode", "nonnegative")
     if mode not in ("nonnegative", "general"):
         raise ProblemError(f"unknown mode: {mode!r}")
+    if mode == "general":
+        if "spectrum" in doc:
+            raise ProblemError("general mode takes 'matrix', not 'spectrum'")
+        return _similar(args, doc, mode)
     tol = float(_setting(args, doc, "tol", doc.get("tolerance", 1e-9)) or 1e-9)
     if "diagonal" not in doc:
         raise ProblemError("'diagonal' is required for realize")
     gammas = parse_vector(doc["diagonal"], "diagonal", args.exact)
+    if "matrix" in doc:
+        raise ProblemError("nonnegative mode takes 'spectrum', not 'matrix'")
+    values = _require_spectrum(doc, args.exact)
+    order = _setting(args, doc, "order", "auto")
+    seed = _setting(args, doc, "seed", None)
+    # realize_mixed certifies its output and raises if it fails
+    B, plan = realize_mixed(
+        values, gammas, order=order, seed=None if seed is None else int(seed),
+        tol=tol,
+    )
     exact_out = bool(args.exact)
-
-    if mode == "nonnegative":
-        if "matrix" in doc:
-            raise ProblemError("nonnegative mode takes 'spectrum', not 'matrix'")
-        values = _require_spectrum(doc, args.exact)
-        order = _setting(args, doc, "order", "auto")
-        seed = _setting(args, doc, "seed", None)
-        B, plan = realize_mixed(
-            values, gammas, order=order, seed=None if seed is None else int(seed),
-            tol=tol,
-        )
-        cert = certify(
-            B, spectrum=values, diagonal=gammas, nonneg=True, constant_row_sums=True
-        )
-        out = {
+    write_output(
+        {
             "status": "ok",
             "mode": mode,
             "matrix": emit_matrix(B, exact_out),
             "diagonal": [emit_scalar(g, exact_out) for g in gammas],
             "plan": emit_nested(plan.to_dict(), exact_out),
-            "certificate": cert.to_dict(),
-        }
-    else:
-        if "spectrum" in doc:
-            raise ProblemError("general mode takes 'matrix', not 'spectrum'")
-        if "matrix" not in doc:
-            raise ProblemError("'matrix' is required in general mode")
-        A = parse_matrix(doc["matrix"], args.exact)
-        B, trace = similar_with_diagonal(A, gammas, tol=tol)
-        cert = certify(B, spectrum=None, diagonal=gammas)
-        out = {
-            "status": "ok",
-            "mode": mode,
-            "matrix": emit_matrix(B, exact_out),
-            "diagonal": [emit_scalar(g, exact_out) for g in gammas],
-            "trace": [
-                {"op": s.op, "data": emit_nested(s.data, exact_out)} for s in trace
-            ],
-            "certificate": cert.to_dict(),
-        }
-    if not cert.ok:
-        raise CertificationError(
-            "output failed certification", certificate=cert
-        )
-    write_output(out, args.output)
+            "certificate": plan.certificate.to_dict(),
+        },
+        args.output,
+    )
     return 0
 
 
 def cmd_similar(args) -> int:
-    doc = load_problem(args.input)
+    return _similar(args, load_problem(args.input))
+
+
+def _similar(args, doc: dict, mode: Optional[str] = None) -> int:
+    """``similar``, and ``realize`` in general mode (which adds ``mode``
+    to the output)."""
     tol = float(_setting(args, doc, "tol", doc.get("tolerance", 1e-9)) or 1e-9)
     if "matrix" not in doc:
-        raise ProblemError("'matrix' is required for similar")
+        raise ProblemError(f"'matrix' is required for {args.command}")
     if "diagonal" not in doc:
-        raise ProblemError("'diagonal' is required for similar")
+        raise ProblemError(f"'diagonal' is required for {args.command}")
     A = parse_matrix(doc["matrix"], args.exact)
     gammas = parse_vector(doc["diagonal"], "diagonal", args.exact)
     B, trace = similar_with_diagonal(A, gammas, tol=tol)
     cert = certify(B, diagonal=gammas)
     exact_out = bool(args.exact)
-    out = {
-        "status": "ok",
-        "matrix": emit_matrix(B, exact_out),
-        "diagonal": [emit_scalar(g, exact_out) for g in gammas],
-        "trace": [
-            {"op": s.op, "data": emit_nested(s.data, exact_out)} for s in trace
-        ],
-        "certificate": cert.to_dict(),
-    }
+    out = {"status": "ok"} if mode is None else {"status": "ok", "mode": mode}
+    out.update(
+        matrix=emit_matrix(B, exact_out),
+        diagonal=[emit_scalar(g, exact_out) for g in gammas],
+        trace=[{"op": s.op, "data": emit_nested(s.data, exact_out)} for s in trace],
+        certificate=cert.to_dict(),
+    )
     if not cert.ok:
         raise CertificationError("output failed certification", certificate=cert)
     write_output(out, args.output)

@@ -4,10 +4,9 @@ Real exact-backend matrices go through the exact characteristic
 polynomial (Hessenberg reduction and recurrence over the rationals)
 split into square-free factors, so the numeric root solver only ever
 sees simple roots and a multiple eigenvalue costs no accuracy.  Float
-matrices follow the classical dense recipe: balance, reduce to upper
-Hessenberg form with Householder reflections, then run a shifted QR
-iteration (complex single shift with Wilkinson shifts and occasional
-exceptional shifts).  A second, independent route solves the
+matrices (and exact complex ones) go to LAPACK through
+``numpy.linalg.eigvals``; for real input the values are then paired into
+exact conjugates.  A second, independent route solves the
 characteristic polynomial with Durand-Kerner simultaneous iteration; the
 routes cross-check each other in the test suite.
 
@@ -32,15 +31,14 @@ from .scalars import scalar_abs, to_float
 
 _EPS = float(np.finfo(float).eps)
 
-# Iteration caps for the engine: total QR sweeps scale with n, inverse
-# iteration is capped per call.
-QR_SWEEPS_PER_EIGENVALUE = 100
+# Iteration cap per inverse-iteration call.
 INVERSE_ITERATION_CAP = 50
 
 
 @dataclass(frozen=True)
 class SpectrumEstimate:
-    """Computed eigenvalue multiset plus a backward-error style residual."""
+    """Computed eigenvalue multiset plus a residual: the largest change
+    made while pairing the values of a real matrix into exact conjugates."""
 
     values: tuple
     residual: float
@@ -69,168 +67,8 @@ def _sort_key(z: complex):
 
 
 # ---------------------------------------------------------------------------
-# balance / Hessenberg / QR
+# spectra
 # ---------------------------------------------------------------------------
-
-
-def _balance(A: np.ndarray, max_passes: int = 50) -> np.ndarray:
-    """Osborne balancing with radix-2 scale factors (exact similarity)."""
-    B = A.copy()
-    n = B.shape[0]
-    for _ in range(max_passes):
-        done = True
-        for i in range(n):
-            c = float(np.sum(np.abs(B[:, i]))) - abs(B[i, i])
-            r = float(np.sum(np.abs(B[i, :]))) - abs(B[i, i])
-            if c == 0.0 or r == 0.0:
-                continue
-            f = 1.0
-            while c < r / 2.0:
-                c *= 2.0
-                r /= 2.0
-                f *= 2.0
-            while c > r * 2.0:
-                c /= 2.0
-                r *= 2.0
-                f /= 2.0
-            if f != 1.0:
-                B[:, i] *= f
-                B[i, :] /= f
-                done = False
-        if done:
-            break
-    return B
-
-
-def _hessenberg(A: np.ndarray) -> np.ndarray:
-    H = A.astype(complex).copy()
-    n = H.shape[0]
-    for k in range(n - 2):
-        x = H[k + 1 :, k]
-        xnorm = float(np.linalg.norm(x))
-        if xnorm == 0.0:
-            continue
-        a0 = x[0]
-        phase = a0 / abs(a0) if a0 != 0 else 1.0
-        alpha = -phase * xnorm
-        v = x.copy()
-        v[0] -= alpha
-        vnorm = float(np.linalg.norm(v))
-        if vnorm <= _EPS * xnorm:
-            H[k + 2 :, k] = 0.0
-            continue
-        v = v / vnorm
-        # P = I - 2 v v^H, applied as a similarity on the trailing block.
-        H[k + 1 :, k:] -= 2.0 * np.outer(v, v.conj() @ H[k + 1 :, k:])
-        H[:, k + 1 :] -= 2.0 * np.outer(H[:, k + 1 :] @ v, v.conj())
-        H[k + 1, k] = alpha
-        H[k + 2 :, k] = 0.0
-    return H
-
-
-def _eig2(a, b, c, d):
-    t = 0.5 * (a + d)
-    disc = cmath.sqrt(0.25 * (a - d) * (a - d) + b * c)
-    return t + disc, t - disc
-
-
-def _wilkinson_shift(a, b, c, d):
-    lam1, lam2 = _eig2(a, b, c, d)
-    return lam1 if abs(lam1 - d) <= abs(lam2 - d) else lam2
-
-
-def _qr_values(H: np.ndarray):
-    """Shifted QR on an upper Hessenberg matrix; returns (values, residual).
-
-    Deflation is machine-precision relative to the neighboring diagonal
-    so that dropping a subdiagonal entry never perturbs the matrix by
-    more than roundoff; a looser threshold would split multiple
-    eigenvalues by its square root.
-    """
-    n = H.shape[0]
-    H = H.copy()
-    anorm = max(float(np.max(np.sum(np.abs(H), axis=1))), 1e-300)
-
-    def negligible(i: int) -> bool:
-        s = abs(H[i - 1, i - 1]) + abs(H[i, i])
-        thresh = 8.0 * _EPS * (s if s > 0.0 else anorm)
-        return abs(H[i, i - 1]) <= thresh
-
-    eigs: list = []
-    neglected = 0.0
-    hi = n - 1
-    sweeps = 0
-    stuck = 0
-    cap = QR_SWEEPS_PER_EIGENVALUE * n
-    while hi >= 0:
-        if hi == 0:
-            eigs.append(complex(H[0, 0]))
-            hi -= 1
-            continue
-        if negligible(hi):
-            neglected = max(neglected, abs(H[hi, hi - 1]))
-            H[hi, hi - 1] = 0.0
-            eigs.append(complex(H[hi, hi]))
-            hi -= 1
-            stuck = 0
-            continue
-        lo = hi - 1
-        while lo > 0 and not negligible(lo):
-            lo -= 1
-        if lo > 0:
-            neglected = max(neglected, abs(H[lo, lo - 1]))
-            H[lo, lo - 1] = 0.0
-        if hi - lo == 1:
-            lam1, lam2 = _eig2(H[lo, lo], H[lo, hi], H[hi, lo], H[hi, hi])
-            eigs.extend([complex(lam1), complex(lam2)])
-            hi = lo - 1
-            stuck = 0
-            continue
-        sweeps += 1
-        stuck += 1
-        if sweeps > cap:
-            raise ConvergenceError(
-                f"QR iteration did not converge within {cap} sweeps",
-                partial=eigs,
-            )
-        if stuck % 12 == 0:
-            # deterministic exceptional shift to break stagnation
-            mu = H[hi, hi] + (0.75 + 0.3j) * abs(H[hi, hi - 1])
-        else:
-            mu = _wilkinson_shift(
-                H[hi - 1, hi - 1], H[hi - 1, hi], H[hi, hi - 1], H[hi, hi]
-            )
-        _shifted_qr_sweep(H, lo, hi, mu)
-    values = tuple(sorted(eigs, key=_sort_key))
-    return values, neglected
-
-
-def _shifted_qr_sweep(H: np.ndarray, lo: int, hi: int, mu: complex) -> None:
-    """One explicit-shift QR step via Givens rotations on H[lo..hi]."""
-    m = hi - lo + 1
-    B = H[lo : hi + 1, lo : hi + 1]
-    B[np.diag_indices(m)] -= mu
-    rots = []
-    for k in range(m - 1):
-        a, b = B[k, k], B[k + 1, k]
-        r = np.hypot(abs(a), abs(b))
-        if r == 0.0:
-            c, s = 1.0 + 0.0j, 0.0 + 0.0j
-        else:
-            c, s = a / r, b / r
-        rots.append((c, s))
-        rowk = B[k, k:].copy()
-        rowk1 = B[k + 1, k:].copy()
-        B[k, k:] = np.conj(c) * rowk + np.conj(s) * rowk1
-        B[k + 1, k:] = -s * rowk + c * rowk1
-        B[k + 1, k] = 0.0
-    for k in range(m - 1):
-        c, s = rots[k]
-        colk = B[: k + 2, k].copy()
-        colk1 = B[: k + 2, k + 1].copy()
-        B[: k + 2, k] = c * colk + s * colk1
-        B[: k + 2, k + 1] = -np.conj(s) * colk + np.conj(c) * colk1
-    B[np.diag_indices(m)] += mu
 
 
 def _symmetrize_conjugates(values: Sequence[complex], scale: float, tol: float):
@@ -278,39 +116,31 @@ def _symmetrize_conjugates(values: Sequence[complex], scale: float, tol: float):
 
 
 def eigenvalues(A: DenseMatrix, tol: float = 1e-10) -> SpectrumEstimate:
-    """All eigenvalues of A with a backward-error style residual.
+    """All eigenvalues of A with a residual.
 
     Real exact-backend input goes through the exact characteristic
     polynomial and its square-free factorization, so multiple eigenvalues
     keep full accuracy (the numeric solver only ever sees simple roots).
-    Float input runs balanced Hessenberg + shifted QR; the residual
-    bounds the subdiagonal mass dropped during deflation plus any
-    conjugate-symmetrization adjustment, both of which are backward
-    perturbations of the balanced matrix.
+    Any other input goes to ``numpy.linalg.eigvals``; a LAPACK failure
+    raises :class:`ConvergenceError`.  For real input on either route the
+    values are paired into exact conjugates and exactly real values, and
+    the residual is the largest adjustment that pairing made (0 for
+    complex input).
     """
-    real_input = A.is_real()
-    n = A.n
-    if A.exact and real_input and n >= 2:
+    if A.exact and A.n >= 2 and A.is_real():
         vals = _exact_char_roots(char_poly(A))
         scale = max(1.0, to_float(A.max_abs()))
         vals, adjust = _symmetrize_conjugates(vals, scale, tol)
         return SpectrumEstimate(tuple(sorted(vals, key=_sort_key)), adjust)
     M = A.to_numpy()
-    scale = max(1.0, float(np.max(np.abs(M))) if M.size else 1.0)
-    if n == 1:
-        return SpectrumEstimate((complex(M[0, 0]),), 0.0)
-    if n == 2:
-        vals = _eig2(M[0, 0], M[0, 1], M[1, 0], M[1, 1])
-        vals = [complex(v) for v in vals]
-        residual = 0.0
-    else:
-        B = _balance(M.astype(complex))
-        H = _hessenberg(B)
-        vals, residual = _qr_values(H)
-        vals = list(vals)
-    if real_input:
-        vals, adjust = _symmetrize_conjugates(vals, scale, tol)
-        residual = max(residual, adjust)
+    try:
+        vals = [complex(v) for v in np.linalg.eigvals(M)]
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK eigenvalue solver failed: {exc}") from None
+    residual = 0.0
+    if A.is_real():
+        scale = max(1.0, float(np.max(np.abs(M))))
+        vals, residual = _symmetrize_conjugates(vals, scale, tol)
     return SpectrumEstimate(tuple(sorted(vals, key=_sort_key)), residual)
 
 
@@ -620,7 +450,7 @@ def _exact_char_roots(coeffs: Sequence) -> list:
 def eigenvalues_charpoly(A: DenseMatrix, tol: float = 1e-12) -> SpectrumEstimate:
     """Eigenvalues via the characteristic polynomial route.
 
-    Independent of the QR path; intended as a cross-check oracle for
+    Independent of the LAPACK path; intended as a cross-check oracle for
     moderate sizes (roughly n <= 8, where root conditioning is benign).
     """
     roots = poly_roots(char_poly(A), tol=tol)

@@ -20,12 +20,13 @@ failure honestly rather than returning a wrong matrix.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
+from .certify import RealizationCertificate
 from .errors import CertificationError, FeasibilityError
 from .matrix import (
     DenseMatrix,
@@ -763,7 +764,8 @@ class RealizationPlan:
     ``bridges`` lists bridge eigenvalues outermost first, and
     ``glue_vectors`` the left eigenvectors used at the matching joins.
     ``head_part`` is the dominant value plus the F-tail; ``chain_part``
-    the nonreal wide-wedge pair representatives.
+    the nonreal wide-wedge pair representatives.  ``certificate`` is the
+    passing certificate of the output; :meth:`to_dict` leaves it out.
     """
 
     tag: SpectrumClass
@@ -773,6 +775,7 @@ class RealizationPlan:
     permutation: tuple
     bridges: tuple
     glue_vectors: tuple
+    certificate: RealizationCertificate = field(compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -809,9 +812,9 @@ def realize_mixed(
     assignment and the permutation that restored it.
 
     Returns (B, RealizationPlan).  The output is certified internally
-    (nonnegative, constant row sums, spectrum, diagonal); a
-    certification failure raises CertificationError and is a bug, not
-    an input problem.
+    (nonnegative, constant row sums, spectrum, diagonal) and the plan
+    carries that certificate; a certification failure raises
+    CertificationError and is a bug, not an input problem.
     """
     if order not in ("keep", "auto"):
         raise ValueError(f"unknown order: {order}")
@@ -857,8 +860,8 @@ def realize_mixed(
             permutation=perm,
             bridges=bridges,
             glue_vectors=ts,
+            certificate=_self_certify(B, spec, target),
         )
-        _self_certify(B, spec, target, tol)
         return B, plan
     if last_error is not None:
         raise FeasibilityError(
@@ -925,7 +928,9 @@ def _inverse(perm: tuple) -> tuple:
     return tuple(inv)
 
 
-def _self_certify(B, spec, target, tol):
+def _self_certify(B, spec, target) -> RealizationCertificate:
+    # looked up at call time, so a wrapper installed on certify.certify
+    # sees this call too
     from .certify import certify
 
     cert = certify(
@@ -941,6 +946,7 @@ def _self_certify(B, spec, target, tol):
             + ", ".join(k for k, v in cert.checks.items() if not v),
             certificate=cert,
         )
+    return cert
 
 
 # ---------------------------------------------------------------------------

@@ -253,7 +253,7 @@ def similar_with_diagonal(
     Returns (B, trace); replaying the trace on A reproduces B.  The output
     is certified once, on its own backend (see :func:`_certified`): the
     diagonal is checked for equality, and the spectrum by char-poly
-    identity for an exact B or by matching B's float QR spectrum to that
+    identity for an exact B or by matching B's float spectrum to that
     of A for a float B.  On the float route the spectrum of A (converted
     to floats) is computed once and serves both the eigenvector search
     and the certification.
@@ -341,7 +341,7 @@ def _certified(A, B, target, steps, spec_a=None):
 
     The diagonal must equal the target exactly.  An exact B must have the
     same characteristic polynomial as A over Q or Q(i), with no
-    tolerance.  A float B must have a QR spectrum within
+    tolerance.  A float B must have a float spectrum within
     SPECTRUM_CERT_TOL (relative to the largest modulus in ``spec_a``) of
     ``spec_a``, the float spectrum of A computed by the caller.  A
     non-finite spectrum never matches.

@@ -1,6 +1,7 @@
 import importlib
 import json
 
+import numpy as np
 import pytest
 
 import diagforge.eigen
@@ -169,6 +170,22 @@ class TestSimilar:
         }
 
 
+class TestLapackFailure:
+    def test_similar_exits_four(self, tmp_path, monkeypatch):
+        def failing(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(diagforge.eigen.np.linalg, "eigvals", failing)
+        problem = {
+            "matrix": [[4.0, 1.0, 0.0], [2.0, -1.0, 3.0], [0.0, 5.0, 2.0]],
+            "diagonal": [5.0, 1.0, -1.0],
+        }
+        code, doc, _ = run(tmp_path, problem, "similar")
+        assert code == 4
+        assert doc["status"] == "convergence-failure"
+        assert "did not converge" in doc["error"]
+
+
 class TestNonFiniteSpectrum:
     def test_nan_spectrum_is_a_certification_failure(self, tmp_path, monkeypatch):
         def nan_spectrum(B, tol=1e-10):
@@ -264,3 +281,70 @@ class TestParsing:
         code, doc, _ = run(tmp_path, problem, "classify", "--exact")
         assert code == 0
         assert doc["tail"] == ["-1/2", "-3/2"]
+
+
+class TestNonFiniteInput:
+    MATRIX = [[4.0, 1.0, 0.0], [2.0, -1.0, 3.0], [0.0, 5.0, 2.0]]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_in_matrix(self, tmp_path, bad):
+        matrix = [row[:] for row in self.MATRIX]
+        matrix[1][2] = bad
+        problem = {"matrix": matrix, "diagonal": [5.0, 1.0, -1.0]}
+        code, doc, _ = run(tmp_path, problem, "similar")
+        assert code == 2
+        assert doc["status"] == "error"
+        assert "not a finite number" in doc["error"]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_in_diagonal(self, tmp_path, bad):
+        problem = {"matrix": self.MATRIX, "diagonal": [5.0, bad, -1.0]}
+        code, doc, _ = run(tmp_path, problem, "similar")
+        assert code == 2
+        assert "not a finite number" in doc["error"]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf"), [-2.0, float("nan")]])
+    def test_in_spectrum(self, tmp_path, bad):
+        problem = {"spectrum": [7.0, -1.0, bad], "diagonal": [1.0, 1.0, 0.0]}
+        code, doc, _ = run(tmp_path, problem, "realize")
+        assert code == 2
+        assert "not a finite number" in doc["error"]
+
+
+class TestCertifiedOnce:
+    def test_realize_emits_the_plan_certificate(self, tmp_path, monkeypatch):
+        certify_module = importlib.import_module("diagforge.certify")
+        cli_module = importlib.import_module("diagforge.cli")
+        original = certify_module.certify
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(certify_module, "certify", counted)
+        monkeypatch.setattr(cli_module, "certify", counted)
+        problem = {
+            "spectrum": [7, -1, [-2, 3], [-2, -3]],
+            "diagonal": [1, 1, 0, 0],
+        }
+        code, doc, _ = run(tmp_path, problem, "realize", "--exact")
+        assert code == 0
+        assert len(calls) == 1
+        cert = doc["certificate"]
+        assert cert["ok"] is True
+        assert set(cert["checks"]) == {
+            "spectrum", "diagonal", "nonneg", "constant_row_sums",
+        }
+
+    def test_realize_general_is_similar_plus_mode(self, tmp_path):
+        problem = {
+            "matrix": [[4, 1, 0], [2, -1, 3], [0, 5, 2]],
+            "diagonal": [5, 1, -1],
+        }
+        code, sim, _ = run(tmp_path, problem, "similar", "--exact")
+        assert code == 0
+        code, gen, _ = run(tmp_path, dict(problem, mode="general"), "realize", "--exact")
+        assert code == 0
+        assert gen.pop("mode") == "general"
+        assert gen == sim

@@ -2,8 +2,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import diagforge.eigen
 from diagforge.eigen import (
     all_nonzero_eigenvector,
     char_poly,
@@ -14,6 +16,7 @@ from diagforge.eigen import (
     poly_roots,
     right_eigenvector,
 )
+from diagforge.errors import ConvergenceError
 from diagforge.matrix import DenseMatrix
 from diagforge.scalars import ComplexRational, exact_complex
 
@@ -242,3 +245,43 @@ def test_match_multisets_never_matches_non_finite_values():
     assert match_multisets([nan, 1.0], [1.0, 2.0]).max_distance == inf
     assert match_multisets([1.0, 2.0], [2.0, complex(1.0, nan)]).max_distance == inf
     assert match_multisets([inf], [inf]).max_distance == inf
+
+
+@pytest.mark.parametrize("n", [16, 24, 32, 48, 64])
+def test_float_spectrum_of_orthogonal_conjugate_at_benchmark_sizes(n):
+    # A = Q D Q^T: Q orthogonal, D block diagonal with real 1x1 blocks
+    # and 2x2 rotation blocks [[a, b], [-b, a]] (eigenvalues a +- ib)
+    rng = np.random.default_rng(n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    d = np.zeros((n, n))
+    want = []
+    k = 0
+    while k < n:
+        if k + 1 < n and rng.random() < 0.5:
+            a, b = rng.uniform(-10, 10), rng.uniform(0.5, 10)
+            d[k : k + 2, k : k + 2] = [[a, b], [-b, a]]
+            want += [complex(a, b), complex(a, -b)]
+            k += 2
+        else:
+            x = rng.uniform(-10, 10)
+            d[k, k] = x
+            want.append(complex(x))
+            k += 1
+    est = eigenvalues(DenseMatrix((q @ d @ q.T).tolist()))
+    scale = max(abs(z) for z in want)
+    assert match_multisets(est.values, want).max_distance <= 1e-9 * scale
+    nonreal = [z for z in est.values if z.imag != 0.0]
+    assert len(nonreal) == sum(1 for z in want if z.imag != 0.0)
+    for z in nonreal:
+        assert nonreal.count(z.conjugate()) == nonreal.count(z)
+    assert est.residual <= 1e-9 * scale
+
+
+def test_lapack_failure_is_a_convergence_error(monkeypatch):
+    def failing(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(diagforge.eigen.np.linalg, "eigvals", failing)
+    a = DenseMatrix([[4.0, 1.0, 0.0], [2.0, -1.0, 3.0], [0.0, 5.0, 2.0]])
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        eigenvalues(a)

@@ -529,3 +529,16 @@ def test_mixed_realization_certifies_exactly(case):
     want = m if plan.tag is SpectrumClass.MIXED else m - 1
     assert len(plan.bridges) == want
     assert all(c >= 0 for c in plan.bridges)
+
+
+def test_plan_carries_the_passing_certificate():
+    spec = [7, -1, exact_complex(-2, 3), exact_complex(-2, -3)]
+    b, plan = realize_mixed(spec, (1, 1, 0, 0), order="keep")
+    cert = plan.certificate
+    assert cert.ok
+    assert set(cert.checks) == {"spectrum", "diagonal", "nonneg", "constant_row_sums"}
+    assert cert.thresholds["diagonal"] == 0.0
+    assert "certificate" not in plan.to_dict()
+    # the certificate takes no part in comparing plans
+    _, again = realize_mixed(spec, (1, 1, 0, 0), order="keep")
+    assert again == plan
