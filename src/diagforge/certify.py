@@ -2,9 +2,12 @@
 
 Every check here goes through the eigenvalue engine and the matrix's
 own entries; nothing is taken on trust from the construction that
-produced the matrix.  Certification never raises on a bad matrix: the
-result carries a verdict per requested check plus the residuals that
-justify it, so callers can decide what a failure means.
+produced the matrix.  An exact matrix checked against exact targets is
+judged in exact arithmetic throughout: its spectrum by characteristic
+polynomial identity over Q or Q(i), with no tolerance and no root
+finding.  Certification never raises on a bad matrix: the result
+carries a verdict per requested check plus the residuals that justify
+it, so callers can decide what a failure means.
 """
 
 from __future__ import annotations
@@ -29,8 +32,11 @@ class RealizationCertificate:
 
     ``checks`` maps each requested check name ("spectrum", "diagonal",
     "nonneg", "constant_row_sums") to its verdict; ``thresholds`` to the
-    tolerance it was judged against.  Residuals for checks that were not
-    requested are None.  ``ok`` is the conjunction of the verdicts.
+    tolerance it was judged against, 0.0 for a check decided exactly.
+    Residuals for checks that were not requested are None; an exact
+    spectrum check records a residual of 0.0 on a pass and ``inf`` on a
+    fail, and no ``computed_spectrum``.  ``ok`` is the conjunction of the
+    verdicts.
     """
 
     checks: dict
@@ -86,7 +92,10 @@ def certify(
     ``spectrum`` and ``diagonal`` are target multisets/vectors; passing
     None skips that check.  ``nonneg`` asks for entrywise nonnegativity
     (within ``nonneg_slack`` on the float backend, exactly on the exact
-    backend) and ``constant_row_sums`` for equal row sums.  Spectrum
+    backend) and ``constant_row_sums`` for equal row sums.  When B is
+    exact and every spectrum target is exact, the spectrum check is
+    ``char_poly(B) == prod(t - target)`` over Q or Q(i), with no
+    tolerance; ``spectrum_tol`` does not apply.  Otherwise spectrum
     matching uses the eigenvalue engine plus greedy closest-first
     pairing, judged against ``spectrum_tol`` (default: 1e-7 relative to
     the largest target modulus).  Never raises on a failing check.
@@ -98,12 +107,23 @@ def certify(
 
     if spectrum is not None:
         targets = list(spectrum)
-        est = eigenvalues(B)
-        computed = tuple(complex(to_float(z)) for z in est.values)
+        exact = B.exact and all(is_exact(t) for t in targets)
+        if not exact:
+            est = eigenvalues(B)
+            computed = tuple(complex(to_float(z)) for z in est.values)
         if len(targets) != B.n:
             checks["spectrum"] = False
             thresholds["spectrum"] = 0.0
             spectrum_residual = float("inf")
+        elif exact:
+            # looked up at call time, so a wrapper installed on
+            # eigen.char_poly sees these calls too
+            from .eigen import char_poly
+
+            ok = char_poly(B) == char_poly(DenseMatrix.diagonal_matrix(targets))
+            checks["spectrum"] = ok
+            thresholds["spectrum"] = 0.0
+            spectrum_residual = 0.0 if ok else float("inf")
         else:
             match = match_multisets(computed, targets)
             scale = max(1.0, max(scalar_abs(t) for t in targets))

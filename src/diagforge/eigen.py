@@ -1,14 +1,17 @@
 """Dense eigenvalue engine used to certify every construction in the package.
 
-Real exact-backend matrices go through the exact characteristic
-polynomial (Hessenberg reduction and recurrence over the rationals)
-split into square-free factors, so the numeric root solver only ever
-sees simple roots and a multiple eigenvalue costs no accuracy.  Float
-matrices (and exact complex ones) go to LAPACK through
-``numpy.linalg.eigvals``; for real input the values are then paired into
-exact conjugates.  A second, independent route solves the
-characteristic polynomial with Durand-Kerner simultaneous iteration; the
-routes cross-check each other in the test suite.
+The exact characteristic polynomial (Hessenberg reduction and
+recurrence over Q or Q(i)) certifies exact outputs by identity, with no
+root finding.  Float spectra of float matrices (and exact complex ones)
+come from LAPACK through ``numpy.linalg.eigvals``; for real input the
+values are then paired into exact conjugates.  Float spectra of real
+exact-backend matrices, which tests and checks against float targets
+use, come from the exact characteristic polynomial split into
+square-free factors, each solved by ``numpy.roots``, so the solver only
+ever sees simple roots and a multiple eigenvalue costs no accuracy.  A
+second, independent route solves the characteristic polynomial with
+Durand-Kerner simultaneous iteration; the routes cross-check each other
+in the test suite.
 
 Eigenvectors come from inverse iteration.  For a constant-row-sum matrix
 and its row-sum eigenvalue the right eigenvector is returned as the exact
@@ -119,8 +122,9 @@ def eigenvalues(A: DenseMatrix, tol: float = 1e-10) -> SpectrumEstimate:
     """All eigenvalues of A with a residual.
 
     Real exact-backend input goes through the exact characteristic
-    polynomial and its square-free factorization, so multiple eigenvalues
-    keep full accuracy (the numeric solver only ever sees simple roots).
+    polynomial and its square-free factorization, each factor solved by
+    ``numpy.roots``, so multiple eigenvalues keep full accuracy (the
+    numeric solver only ever sees simple roots).
     Any other input goes to ``numpy.linalg.eigvals``; a LAPACK failure
     raises :class:`ConvergenceError`.  For real input on either route the
     values are paired into exact conjugates and exactly real values, and
@@ -145,7 +149,7 @@ def eigenvalues(A: DenseMatrix, tol: float = 1e-10) -> SpectrumEstimate:
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomial route (independent cross-check)
+# characteristic polynomial and the Durand-Kerner cross-check
 # ---------------------------------------------------------------------------
 
 
@@ -389,61 +393,19 @@ def _squarefree_factors(p: Sequence) -> list:
     return out
 
 
-def _quadratic_roots(b: Fraction, c: Fraction) -> list:
-    """Roots of t^2 + bt + c with an exact discriminant sign test."""
-    disc = b * b - 4 * c
-    bf = to_float(b)
-    if disc >= 0:
-        s = math.sqrt(to_float(disc))
-        r1 = (-bf - s) / 2.0 if bf >= 0 else (-bf + s) / 2.0
-        if r1 == 0.0:
-            return [complex(0.0), complex(-bf)]
-        return [complex(r1), complex(to_float(c) / r1)]
-    s = math.sqrt(to_float(-disc)) / 2.0
-    return [complex(-bf / 2.0, s), complex(-bf / 2.0, -s)]
-
-
-def _newton_polish(f: Sequence, z: complex, rounds: int = 3) -> complex:
-    fs = [to_float(c) for c in f]
-    deg = len(fs) - 1
-    dfs = [c * (deg - k) for k, c in enumerate(fs[:-1])]
-    for _ in range(rounds):
-        fv = 0.0 + 0.0j
-        for c in fs:
-            fv = fv * z + c
-        dv = 0.0 + 0.0j
-        for c in dfs:
-            dv = dv * z + c
-        if dv == 0:
-            break
-        step = fv / dv
-        z = z - step
-        if abs(step) <= 4.0 * _EPS * max(1.0, abs(z)):
-            break
-    return z
-
-
 def _exact_char_roots(coeffs: Sequence) -> list:
     """Roots of an exact real polynomial as complex floats, with multiplicity.
 
     Splitting into square-free factors first means the numeric solver
-    only ever sees simple roots; a multiple eigenvalue is solved once at
-    full accuracy and then repeated, instead of being smeared into a
-    cluster of half-precision values.
+    (``numpy.roots`` on each factor's float coefficients) only ever sees
+    simple roots; a multiple eigenvalue is solved once at full accuracy
+    and then repeated, instead of being smeared into a cluster of
+    half-precision values.
     """
     out: list = []
     for f, mult in _squarefree_factors([Fraction(c) for c in coeffs]):
-        deg = len(f) - 1
-        if deg == 0:
-            continue
-        if deg == 1:
-            roots = [complex(-to_float(f[1]))]
-        elif deg == 2:
-            roots = _quadratic_roots(f[1], f[2])
-        else:
-            roots = [_newton_polish(f, z) for z in poly_roots(f, tol=1e-13)]
-        for r in roots:
-            out.extend([r] * mult)
+        for r in np.roots([to_float(c) for c in f]):
+            out.extend([complex(r)] * mult)
     return out
 
 

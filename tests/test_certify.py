@@ -1,8 +1,13 @@
+import importlib
+import math
 from fractions import Fraction
+
+import pytest
 
 from diagforge.certify import certify
 from diagforge.matrix import DenseMatrix
 from diagforge.nonneg import realize_suleimanova
+from diagforge.scalars import exact_complex
 
 GOOD = realize_suleimanova([5, -1, -2], (1, 1, 0))  # [[1,2,2],[2,1,2],[3,2,0]]
 
@@ -87,3 +92,69 @@ def test_to_dict_serializable_fields():
     assert set(d["checks"]) == {"spectrum", "nonneg"}
     assert all(len(pair) == 2 for pair in d["computed_spectrum"])
     assert "thresholds" in d
+
+
+# criterion 1's realization over Q(i): spectrum 16, -1, -2, -2 +- 2i, -2 +- 3i
+SEVEN = DenseMatrix([
+    [0, 2, 4, 2, Fraction(200, 73), Fraction(192, 73), Fraction(192, 73)],
+    [1, 1, 4, 2, Fraction(200, 73), Fraction(192, 73), Fraction(192, 73)],
+    [2, 2, 2, 2, Fraction(200, 73), Fraction(192, 73), Fraction(192, 73)],
+    [4, 2, 4, 0, Fraction(150, 73), Fraction(144, 73), Fraction(144, 73)],
+    [0, 2, 4, 4, 2, 0, 4],
+    [0, 2, 4, 4, Fraction(25, 6), 0, Fraction(11, 6)],
+    [0, 2, 4, 4, 0, 6, 0],
+])
+
+
+class TestExactSpectrum:
+    @pytest.fixture(autouse=True)
+    def no_eigenvalues(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("exact certification called eigenvalues()")
+
+        # the package re-exports the function certify under the module's name
+        certify_module = importlib.import_module("diagforge.certify")
+        monkeypatch.setattr(certify_module, "eigenvalues", forbidden)
+
+    def test_pass_is_decided_without_eigenvalues(self):
+        cert = certify(GOOD, spectrum=[5, -1, -2], diagonal=(1, 1, 0))
+        assert cert.ok
+        assert cert.thresholds["spectrum"] == 0.0
+        assert cert.spectrum_residual == 0.0
+        assert cert.computed_spectrum == ()
+
+    def test_entry_changed_by_a_seventh_is_rejected(self):
+        rows = [list(r) for r in GOOD.rows]
+        rows[2][0] += Fraction(1, 7)
+        cert = certify(DenseMatrix(rows), spectrum=[5, -1, -2])
+        assert cert.checks["spectrum"] is False
+        assert cert.spectrum_residual == math.inf
+        assert cert.to_dict()["spectrum_residual"] is None
+        assert cert.computed_spectrum == ()
+
+    def test_gaussian_rational_spectrum_is_accepted(self):
+        spectrum = [
+            16, -1, -2,
+            exact_complex(-2, 2), exact_complex(-2, -2),
+            exact_complex(-2, 3), exact_complex(-2, -3),
+        ]
+        cert = certify(SEVEN, spectrum=spectrum)
+        assert cert.ok
+        assert cert.spectrum_residual == 0.0
+
+    def test_targets_not_closed_under_conjugation_are_rejected(self):
+        # same trace as the true spectrum, but no real matrix has it
+        spectrum = [
+            16, -1, -2, -2,
+            exact_complex(-2, 3), exact_complex(-2, -2), exact_complex(-2, -1),
+        ]
+        cert = certify(SEVEN, spectrum=spectrum)
+        assert cert.checks["spectrum"] is False
+        assert cert.spectrum_residual == math.inf
+
+
+def test_exact_matrix_with_float_targets_takes_the_numeric_route():
+    cert = certify(GOOD, spectrum=[5.0, -1.0, -2.0])
+    assert cert.ok
+    assert len(cert.computed_spectrum) == 3
+    assert 0.0 < cert.thresholds["spectrum"] < 1e-6

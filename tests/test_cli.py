@@ -194,8 +194,10 @@ class TestNonFiniteSpectrum:
         # the package re-exports the function certify under the module's name
         certify_module = importlib.import_module("diagforge.certify")
         monkeypatch.setattr(certify_module, "eigenvalues", nan_spectrum)
-        problem = {"spectrum": [5, -1, -2], "diagonal": [1, 1, 0]}
-        code, doc, _ = run(tmp_path, problem, "realize", "--exact")
+        # on the float backend: an exact output is certified by char-poly
+        # identity and never reaches eigenvalues()
+        problem = {"spectrum": [5.0, -1.0, -2.0], "diagonal": [1.0, 1.0, 0.0]}
+        code, doc, _ = run(tmp_path, problem, "realize")
         assert code == 4
         assert doc["status"] == "certification-failure"
         cert = doc["certificate"]
@@ -203,6 +205,61 @@ class TestNonFiniteSpectrum:
         assert cert["checks"]["spectrum"] is False
         assert cert["spectrum_residual"] is None
         assert cert["computed_spectrum"] == [[None, 0.0]] * 3
+
+
+# Exact Suleimanova-type problems (n = 23, 24, 24) whose realizations are
+# correct but whose float spectra, from Durand-Kerner roots of the exact
+# char poly, were rejected, came out NaN, or did not converge.
+WEDGE_FAULT_PROBLEMS = (
+    (
+        '{"spectrum": ["7301/120", "-8/3", -5, -1, -11, -3, "-5/2", [-2,'
+        ' "6/5"], [-2, "-6/5"], ["-5/2", "1/2"], ["-5/2", "-1/2"],'
+        ' ["-5/4", "9/8"], ["-5/4", "-9/8"], [-4, "8/5"], [-4, "-8/5"],'
+        ' [-1, "1/5"], [-1, "-1/5"], [-2, "1/5"], [-2, "-1/5"], ["-1/2",'
+        ' "1/2"], ["-1/2", "-1/2"], [-1, "1/10"], [-1, "-1/10"]],'
+        ' "diagonal": ["2583/4000", "287/2000", "2583/4000",'
+        ' "2009/4000", "287/1000", "287/800", "287/2000", "861/4000",'
+        ' "287/4000", 0, "287/1000", "2009/4000", "287/2000", "287/500",'
+        ' "287/4000", "287/4000", "2583/4000", 0, "287/800", "287/1000",'
+        ' "2009/4000", "861/2000", "287/1000"]}'
+    ),
+    (
+        '{"spectrum": ["12701/120", "-11/2", -1, -5, "-11/3", "-1/2",'
+        ' [-7, "7/5"], [-7, "-7/5"], [-5, "5/2"], [-5, "-5/2"], ["-7/4",'
+        ' "7/8"], ["-7/4", "-7/8"], [-6, "21/5"], [-6, "-21/5"], [-4,'
+        ' "2/5"], [-4, "-2/5"], ["-7/2", "7/4"], ["-7/2", "-7/4"],'
+        ' ["-2/3", "1/15"], ["-2/3", "-1/15"], [-2, "7/5"], [-2,'
+        ' "-7/5"], -7, -7], "diagonal": ["53/360", "53/120", "53/60",'
+        ' "53/40", "53/360", "53/45", "53/360", "371/360", "53/45",'
+        ' "53/45", "53/120", "53/40", "53/360", "371/360", "371/360",'
+        ' "53/120", "53/60", 0, "53/120", "371/360", 0, "53/120",'
+        ' "53/45", "53/180"]}'
+    ),
+    (
+        '{"spectrum": ["2709/40", -2, ["-3/2", "6/5"], ["-3/2", "-6/5"],'
+        ' ["-5/2", "5/4"], ["-5/2", "-5/4"], [-1, "3/10"], [-1,'
+        ' "-3/10"], [-5, "3/2"], [-5, "-3/2"], ["-1/4", "1/40"],'
+        ' ["-1/4", "-1/40"], ["-4/3", "6/5"], ["-4/3", "-6/5"], [-2,'
+        ' "2/5"], [-2, "-2/5"], ["-1/3", "1/10"], ["-1/3", "-1/10"],'
+        ' ["-3/4", "3/20"], ["-3/4", "-3/20"], ["-8/3", "8/5"], ["-8/3",'
+        ' "-8/5"], [-6, 6], [-6, -6]], "diagonal": ["2287/11760",'
+        ' "2287/2940", "2287/5880", 0, "2287/11760", "2287/2940",'
+        ' "2287/5880", "2287/1960", "2287/2940", "2287/1470",'
+        ' "2287/1960", "6861/3920", "2287/2352", "2287/11760",'
+        ' "2287/2352", "2287/1680", "2287/2940", "2287/2352",'
+        ' "2287/2352", "2287/1470", "2287/5880", "2287/2940",'
+        ' "2287/3920", "2287/5880"]}'
+    ),
+)
+
+
+class TestExactCertification:
+    @pytest.mark.parametrize("problem", WEDGE_FAULT_PROBLEMS)
+    def test_large_wedge_realization_certifies(self, tmp_path, problem):
+        code, doc, _ = run(tmp_path, json.loads(problem), "realize", "--exact")
+        assert code == 0
+        assert doc["status"] == "ok"
+        assert doc["certificate"]["checks"]["spectrum"] is True
 
 
 class TestVerify:
