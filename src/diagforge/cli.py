@@ -166,6 +166,19 @@ def _setting(args, doc, key, default):
     return default
 
 
+def _tolerance(args, doc) -> float:
+    """The ``--tol`` flag, else the file's ``tol`` or ``tolerance`` key
+    (null counts as absent), else 1e-9; it must be a finite number > 0."""
+    raw = _setting(args, doc, "tol", _setting(args, doc, "tolerance", 1e-9))
+    try:
+        tol = float(raw)
+    except (TypeError, ValueError):
+        tol = math.nan
+    if isinstance(raw, bool) or not (math.isfinite(tol) and tol > 0):
+        raise ProblemError(f"tolerance must be a finite number > 0, got {raw!r}")
+    return tol
+
+
 def _require_spectrum(doc, exact_only) -> tuple:
     if "spectrum" not in doc:
         raise ProblemError("'spectrum' is required for this command")
@@ -175,7 +188,7 @@ def _require_spectrum(doc, exact_only) -> tuple:
 def cmd_classify(args) -> int:
     doc = load_problem(args.input)
     values = _require_spectrum(doc, args.exact)
-    tol = float(_setting(args, doc, "tol", doc.get("tolerance", 1e-9)) or 1e-9)
+    tol = _tolerance(args, doc)
     spec = Spectrum(values, tol=tol)
     cls = classify(spec)
     exact_out = bool(args.exact)
@@ -201,7 +214,7 @@ def cmd_realize(args) -> int:
         if "spectrum" in doc:
             raise ProblemError("general mode takes 'matrix', not 'spectrum'")
         return _similar(args, doc, mode)
-    tol = float(_setting(args, doc, "tol", doc.get("tolerance", 1e-9)) or 1e-9)
+    tol = _tolerance(args, doc)
     if "diagonal" not in doc:
         raise ProblemError("'diagonal' is required for realize")
     gammas = parse_vector(doc["diagonal"], "diagonal", args.exact)
@@ -237,7 +250,7 @@ def cmd_similar(args) -> int:
 def _similar(args, doc: dict, mode: Optional[str] = None) -> int:
     """``similar``, and ``realize`` in general mode (which adds ``mode``
     to the output)."""
-    tol = float(_setting(args, doc, "tol", doc.get("tolerance", 1e-9)) or 1e-9)
+    tol = _tolerance(args, doc)
     if "matrix" not in doc:
         raise ProblemError(f"'matrix' is required for {args.command}")
     if "diagonal" not in doc:

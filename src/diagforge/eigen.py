@@ -13,7 +13,8 @@ second, independent route solves the characteristic polynomial with
 Durand-Kerner simultaneous iteration; the routes cross-check each other
 in the test suite.
 
-Eigenvectors come from inverse iteration.  For a constant-row-sum matrix
+Eigenvectors come from inverse iteration, and are real for a real
+eigenvalue of a real matrix.  For a constant-row-sum matrix
 and its row-sum eigenvalue the right eigenvector is returned as the exact
 all-ones vector.
 """
@@ -475,7 +476,12 @@ def _inverse_iteration(M: np.ndarray, lam: complex, tol: float, avoid: list):
 def _finish_vector(M: np.ndarray, x: np.ndarray, lam: complex, normalize: str):
     idx = int(np.argmax(np.abs(x)))
     x = x / x[idx]
-    if np.max(np.abs(x.imag)) <= 64.0 * _EPS * float(np.max(np.abs(x))):
+    # for a real M and a real lam the real part of x (entry idx is 1) is
+    # an eigenvector with no larger residual, so a real problem gets a
+    # real vector by construction; otherwise only rounding-level
+    # imaginary parts are dropped
+    real_problem = lam.imag == 0 and not np.any(M.imag)
+    if real_problem or np.max(np.abs(x.imag)) <= 64.0 * _EPS * float(np.max(np.abs(x))):
         x = x.real.astype(complex)
     if normalize == "sum1":
         s = complex(np.sum(x))
@@ -599,6 +605,14 @@ def match_multisets(computed: Sequence, target: Sequence) -> MatchResult:
     distance) and the largest matched distance, which is ``inf`` when any
     value on either side is not finite: a NaN distance would otherwise
     compare as a perfect match.
+
+    All n^2 distances are sorted once, by (distance, computed index,
+    target index), and pairs are taken in that order, skipping any whose
+    computed or target value is already paired; so of two equally close
+    pairs the one with the smaller computed index, then the smaller
+    target index, is taken first.  Cost O(n^2 log n).  Distances are
+    ``hypot`` of the difference, bit-identical to Python's
+    ``abs(complex)``.
     """
     a = [complex(to_float(z)) for z in computed]
     b = [complex(to_float(z)) for z in target]
@@ -606,17 +620,23 @@ def match_multisets(computed: Sequence, target: Sequence) -> MatchResult:
         raise ValueError("multiset size mismatch")
     if not all(cmath.isfinite(z) for z in a + b):
         return MatchResult((), math.inf)
-    left = set(range(len(a)))
-    right = set(range(len(b)))
+    n = len(a)
+    diff = np.array(a, dtype=complex)[:, None] - np.array(b, dtype=complex)[None, :]
+    dist = np.hypot(diff.real, diff.imag).ravel()
+    # a stable sort keeps equal distances in row-major (i, j) order
+    order = np.argsort(dist, kind="stable")
+    used_a = [False] * n
+    used_b = [False] * n
     pairs = []
     worst = 0.0
-    while left:
-        i, j, d = min(
-            ((i, j, abs(a[i] - b[j])) for i in left for j in right),
-            key=lambda t: t[2],
-        )
+    for k in order.tolist():
+        i, j = divmod(k, n)
+        if used_a[i] or used_b[j]:
+            continue
+        d = float(dist[k])
         pairs.append((i, j, d))
         worst = max(worst, d)
-        left.remove(i)
-        right.remove(j)
+        used_a[i] = used_b[j] = True
+        if len(pairs) == n:
+            break
     return MatchResult(tuple(pairs), worst)

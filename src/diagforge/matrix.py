@@ -62,6 +62,25 @@ class DenseMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("DenseMatrix is immutable")
 
+    @classmethod
+    def _trusted(cls, rows, exact: bool) -> "DenseMatrix":
+        """Wrap rows the library computed itself, without re-validating them.
+
+        Contract: ``rows`` is a non-empty square list of rows whose entries
+        are already normalized onto one backend, the one ``exact`` names:
+        ``Fraction``/``ComplexRational`` when exact, ``float``/``complex``
+        otherwise (no ``int``, ``bool`` or numpy scalar).  Arithmetic on
+        the entries of normalized matrices and vectors keeps that form.
+        The result is then equal, entry type for entry type, to
+        ``DenseMatrix(rows)``.  Rows from outside the library go through
+        the validating constructor instead.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", len(rows))
+        object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
+        object.__setattr__(self, "exact", exact)
+        return self
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -114,7 +133,9 @@ class DenseMatrix:
     def to_float(self) -> "DenseMatrix":
         if not self.exact:
             return self
-        return DenseMatrix([[to_float(x) for x in r] for r in self.rows])
+        return DenseMatrix._trusted(
+            [[to_float(x) for x in r] for r in self.rows], False
+        )
 
     def to_numpy(self) -> np.ndarray:
         flat = [to_float(x) for r in self.rows for x in r]
@@ -134,22 +155,24 @@ class DenseMatrix:
         if not isinstance(other, DenseMatrix):
             return NotImplemented
         self._require_same_backend(other)
-        return DenseMatrix(
+        return DenseMatrix._trusted(
             [
                 [self.rows[i][j] + other.rows[i][j] for j in range(self.n)]
                 for i in range(self.n)
-            ]
+            ],
+            self.exact,
         )
 
     def __sub__(self, other):
         if not isinstance(other, DenseMatrix):
             return NotImplemented
         self._require_same_backend(other)
-        return DenseMatrix(
+        return DenseMatrix._trusted(
             [
                 [self.rows[i][j] - other.rows[i][j] for j in range(self.n)]
                 for i in range(self.n)
-            ]
+            ],
+            self.exact,
         )
 
     def __matmul__(self, other):
@@ -166,7 +189,7 @@ class DenseMatrix:
                     for j in range(n)
                 ]
             )
-        return DenseMatrix(out)
+        return DenseMatrix._trusted(out, self.exact)
 
     def matvec(self, v: Sequence) -> tuple:
         x = normalize_vector(v, "exact" if self.exact else "float")
@@ -176,11 +199,12 @@ class DenseMatrix:
 
     def scale(self, s) -> "DenseMatrix":
         (s,) = normalize_vector([s], "exact" if self.exact else "float")
-        return DenseMatrix([[s * x for x in r] for r in self.rows])
+        return DenseMatrix._trusted([[s * x for x in r] for r in self.rows], self.exact)
 
     def transpose(self) -> "DenseMatrix":
-        return DenseMatrix(
-            [[self.rows[j][i] for j in range(self.n)] for i in range(self.n)]
+        return DenseMatrix._trusted(
+            [[self.rows[j][i] for j in range(self.n)] for i in range(self.n)],
+            self.exact,
         )
 
     # -- predicates -----------------------------------------------------
@@ -238,11 +262,12 @@ def rank_one_add(A: DenseMatrix, v: Sequence, q: Sequence) -> DenseMatrix:
     qq = normalize_vector(q, fam)
     if len(vv) != A.n or len(qq) != A.n:
         raise ValueError("dimension mismatch")
-    return DenseMatrix(
+    return DenseMatrix._trusted(
         [
             [A.rows[i][j] + vv[i] * qq[j] for j in range(A.n)]
             for i in range(A.n)
-        ]
+        ],
+        A.exact,
     )
 
 
@@ -273,7 +298,7 @@ def diag_similarity(A: DenseMatrix, d: Sequence, zero_tol: float = 1e-10) -> Den
             else:
                 row.append(A.rows[i][j] * (dd[j] / dd[i]))
         out.append(row)
-    return DenseMatrix(out)
+    return DenseMatrix._trusted(out, A.exact)
 
 
 def permute_similarity(A: DenseMatrix, perm: Sequence[int]) -> DenseMatrix:
@@ -285,7 +310,9 @@ def permute_similarity(A: DenseMatrix, perm: Sequence[int]) -> DenseMatrix:
     p = list(perm)
     if sorted(p) != list(range(A.n)):
         raise ValueError("perm must be a permutation of range(n)")
-    return DenseMatrix([[A.rows[p[i]][p[j]] for j in range(A.n)] for i in range(A.n)])
+    return DenseMatrix._trusted(
+        [[A.rows[p[i]][p[j]] for j in range(A.n)] for i in range(A.n)], A.exact
+    )
 
 
 def row_sums(A: DenseMatrix) -> tuple:

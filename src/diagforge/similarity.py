@@ -157,7 +157,7 @@ def set_diagonal_cs(
             # is g_i exactly, and spelling it out dodges float rounding
             row[j] = gs[j] if i == j else row[j] + q[j]
         out.append(row)
-    return DenseMatrix(out)
+    return DenseMatrix._trusted(out, A.exact)
 
 
 def _match_backend(values: tuple, A: DenseMatrix) -> tuple:
@@ -188,7 +188,7 @@ def embed_anchor(A: DenseMatrix, anchor: int = 0) -> DenseMatrix:
     for i in range(n):
         if i != anchor:
             rows[i] = [x - y for x, y in zip(rows[i], base)]
-    return DenseMatrix(rows)
+    return DenseMatrix._trusted(rows, A.exact)
 
 
 def brauer_shift(

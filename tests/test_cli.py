@@ -405,3 +405,54 @@ class TestCertifiedOnce:
         assert code == 0
         assert gen.pop("mode") == "general"
         assert gen == sim
+
+
+class TestTolerance:
+    """A tolerance from ``--tol`` or from the file's ``tol`` or
+    ``tolerance`` key must be a finite number > 0; anything else is
+    invalid input (exit 2), not a failure of some other kind."""
+
+    PROBLEM = {
+        "matrix": [[4.0, 1.0, 0.0], [2.0, -1.0, 3.0], [0.0, 5.0, 2.0]],
+        "diagonal": [5.0, 1.0, -1.0],
+    }
+
+    def assert_invalid(self, code, doc):
+        assert code == 2
+        assert doc["status"] == "error"
+        assert "tolerance must be a finite number > 0" in doc["error"]
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-1", "0"])
+    def test_flag(self, tmp_path, bad):
+        self.assert_invalid(*run(tmp_path, self.PROBLEM, "similar", f"--tol={bad}")[:2])
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", -1, 0, "0", True, [1e-9]])
+    def test_document_key(self, tmp_path, bad):
+        problem = dict(self.PROBLEM, tol=bad)
+        self.assert_invalid(*run(tmp_path, problem, "similar")[:2])
+
+    @pytest.mark.parametrize(
+        "command, problem",
+        [
+            ("classify", {"spectrum": [5, -1, -2]}),
+            ("realize", {"spectrum": [5, -1, -2], "diagonal": [2, 1, 0]}),
+            ("realize", dict(PROBLEM, mode="general")),
+            ("similar", PROBLEM),
+        ],
+        ids=["classify", "realize", "realize-general", "similar"],
+    )
+    def test_every_command_checks_the_tolerance_key(self, tmp_path, command, problem):
+        problem = dict(problem, tolerance="nan")
+        self.assert_invalid(*run(tmp_path, problem, command)[:2])
+
+    @pytest.mark.parametrize(
+        "settings, flags",
+        [({"tol": "1e-8"}, ["--tol", "1e-6"]), ({"tol": None, "tolerance": None}, [])],
+        ids=["flag-over-key", "null-is-default"],
+    )
+    def test_finite_positive_or_absent_tolerance_is_accepted(
+        self, tmp_path, settings, flags
+    ):
+        code, doc, _ = run(tmp_path, dict(self.PROBLEM, **settings), "similar", *flags)
+        assert code == 0
+        assert doc["certificate"]["ok"] is True

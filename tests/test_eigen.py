@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 
 import diagforge.eigen
 from diagforge.eigen import (
+    MatchResult,
     all_nonzero_eigenvector,
     char_poly,
     eigenvalues,
@@ -216,6 +218,22 @@ def test_left_eigenvector_residual():
         assert complex(lhs) == pytest.approx(5.0 * complex(t), abs=1e-8)
 
 
+def test_real_eigenvalue_of_real_matrix_has_a_real_eigenvector():
+    # inverse iteration runs in complex arithmetic; the vector for a real
+    # eigenvalue of a real matrix must come out real however the
+    # imaginary rounding residue falls
+    rng = np.random.default_rng(3)
+    for n in (8, 16, 32):
+        for _ in range(5):
+            a = DenseMatrix(rng.integers(-9, 10, size=(n, n)).tolist()).to_float()
+            for lam in eigenvalues(a).values:
+                if lam.imag != 0.0:
+                    continue
+                for pair in (right_eigenvector(a, lam), left_eigenvector(a, lam)):
+                    assert all(type(v) is float for v in pair.vector)
+                    assert pair.residual <= 1e-7 * max(1.0, abs(lam))
+
+
 def test_constant_row_sum_fast_path_returns_exact_ones():
     a = DenseMatrix([[0, 1, 2], [1, 1, 1], [2, 0, 1]])
     pair = right_eigenvector(a, 3)
@@ -245,6 +263,68 @@ def test_match_multisets_never_matches_non_finite_values():
     assert match_multisets([nan, 1.0], [1.0, 2.0]).max_distance == inf
     assert match_multisets([1.0, 2.0], [2.0, complex(1.0, nan)]).max_distance == inf
     assert match_multisets([inf], [inf]).max_distance == inf
+
+
+def greedy_match_oracle(computed, target):
+    """The O(n^3) matching loop: a fresh minimum over all remaining pairs
+    at each step.  Set iteration over small ints is ascending and ``min``
+    keeps the first minimum, so ties go to (computed index, target index)."""
+    a = [complex(z) for z in computed]
+    b = [complex(z) for z in target]
+    if not all(cmath.isfinite(z) for z in a + b):
+        return (), math.inf
+    left, right = set(range(len(a))), set(range(len(b)))
+    pairs, worst = [], 0.0
+    while left:
+        i, j, d = min(
+            ((i, j, abs(a[i] - b[j])) for i in left for j in right),
+            key=lambda t: t[2],
+        )
+        pairs.append((i, j, d))
+        worst = max(worst, d)
+        left.remove(i)
+        right.remove(j)
+    return tuple(pairs), worst
+
+
+def assert_matches_oracle(computed, target):
+    m = match_multisets(computed, target)
+    assert (m.pairs, m.max_distance) == greedy_match_oracle(computed, target)
+    assert all(type(d) is float for _, _, d in m.pairs)
+
+
+def test_match_multisets_equals_greedy_oracle_on_random_multisets():
+    rng = random.Random(7)
+    for n in range(1, 65):
+        a = [complex(rng.gauss(0, 10), rng.gauss(0, 10)) for _ in range(n)]
+        noisy = [z + complex(rng.gauss(0, 1e-6), rng.gauss(0, 1e-6)) for z in a]
+        rng.shuffle(noisy)
+        assert_matches_oracle(a, noisy)
+        other = [complex(rng.gauss(0, 10), rng.gauss(0, 10)) for _ in range(n)]
+        assert_matches_oracle(a, other)
+
+
+def test_match_multisets_equals_greedy_oracle_on_ties():
+    # draws from a 5-value pool: most distances tie, so the order in which
+    # equally close pairs are taken decides the pairing
+    rng = random.Random(11)
+    pool = [0.0, 1.0, -1.0, 1j, complex(1, -1)]
+    for n in range(1, 41):
+        a = [rng.choice(pool) for _ in range(n)]
+        b = [rng.choice(pool) for _ in range(n)]
+        assert_matches_oracle(a, b)
+
+
+def test_match_multisets_equals_greedy_oracle_on_edge_cases():
+    nan, inf = float("nan"), float("inf")
+    assert match_multisets([], []) == MatchResult((), 0.0)
+    for computed, target in [
+        ([], []),
+        ([nan, 1.0], [1.0, 2.0]),
+        ([1.0, 2.0], [2.0, complex(1.0, nan)]),
+        ([inf], [inf]),
+    ]:
+        assert_matches_oracle(computed, target)
 
 
 @pytest.mark.parametrize("n", [16, 24, 32, 48, 64])

@@ -14,6 +14,8 @@ from diagforge.matrix import (
     rank_one_add,
     row_sums,
 )
+from diagforge.scalars import ComplexRational, exact_complex
+from diagforge.similarity import embed_anchor, set_diagonal_cs
 
 
 class TestDenseMatrix:
@@ -107,3 +109,68 @@ def test_similarity_preserves_float_spectrum():
     b = diag_similarity(a, (1.0, -2.0, 4.0))
     m = match_multisets(eigenvalues(b).values, eigenvalues(a).values)
     assert m.max_distance < 1e-8
+
+
+# -- matrices the library builds without re-validating entries ------------
+
+# constant row sums 3 on every backend, so set_diagonal_cs applies too
+TRUSTED_CASES = {
+    "exact": (
+        DenseMatrix([[Fraction(1, 2), 1, Fraction(3, 2)], [1, 1, 1], [2, 0, 1]]),
+        (Fraction(1, 2), -1, 2),
+    ),
+    "exact-complex": (
+        DenseMatrix(
+            [[exact_complex(0, 1), 1, exact_complex(2, -1)], [1, 1, 1], [2, 0, 1]]
+        ),
+        (exact_complex(1, 1), Fraction(-1, 3), 2),
+    ),
+    "float": (
+        DenseMatrix([[0.5, 1.0, 1.5], [1.0, 1.0, 1.0], [2.0, 0.0, 1.0]]),
+        (0.5, -1.0, 2.0),
+    ),
+    "float-complex": (
+        DenseMatrix([[1j, 1.0, 2.0 - 1j], [1.0, 1.0, 1.0], [2.0, 0.0, 1.0]]),
+        (1.0 + 1.0j, -0.25, 2.0),
+    ),
+}
+
+TRUSTED_OPS = {
+    "to_float": lambda a, v: a.to_float(),
+    "add": lambda a, v: a + a.transpose(),
+    "sub": lambda a, v: a - a.transpose(),
+    "matmul": lambda a, v: a @ a.transpose(),
+    "scale": lambda a, v: a.scale(v[0]),
+    "transpose": lambda a, v: a.transpose(),
+    "rank_one_add": lambda a, v: rank_one_add(a, v, v[::-1]),
+    "diag_similarity": lambda a, v: diag_similarity(a, v),
+    "permute_similarity": lambda a, v: permute_similarity(a, (2, 0, 1)),
+    # trace-preserving diagonal: gamma_i = a_ii + q_i with sum(q) = 0
+    "set_diagonal_cs": lambda a, v: set_diagonal_cs(
+        a, tuple(d + q for d, q in zip(a.diagonal(), (v[0], v[1], -v[0] - v[1])))
+    ),
+    "embed_anchor": lambda a, v: embed_anchor(a, 1),
+}
+
+
+@pytest.mark.parametrize("case", TRUSTED_CASES)
+@pytest.mark.parametrize("op", TRUSTED_OPS)
+def test_library_built_matrix_equals_validated_construction(case, op):
+    a, v = TRUSTED_CASES[case]
+    m = TRUSTED_OPS[op](a, v)
+    ref = DenseMatrix(m.rows)
+    assert (m.n, m.exact, m.rows) == (ref.n, ref.exact, ref.rows)
+    types = [type(x) for r in m.rows for x in r]
+    assert types == [type(x) for r in ref.rows for x in r]
+    assert type(m.rows) is tuple and all(type(r) is tuple for r in m.rows)
+    assert m == ref and hash(m) == hash(ref)
+    with pytest.raises(AttributeError, match="immutable"):
+        m.rows = ref.rows
+
+
+def test_library_built_matrices_cover_complex_rational_entries():
+    a, v = TRUSTED_CASES["exact-complex"]
+    for op in TRUSTED_OPS.values():
+        m = op(a, v)
+        if m.exact:
+            assert any(isinstance(x, ComplexRational) for r in m.rows for x in r)
