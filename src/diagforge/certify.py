@@ -4,19 +4,22 @@ Every check here goes through the eigenvalue engine and the matrix's
 own entries; nothing is taken on trust from the construction that
 produced the matrix.  An exact matrix checked against exact targets is
 judged in exact arithmetic throughout: its spectrum by characteristic
-polynomial identity over Q or Q(i), with no tolerance and no root
-finding.  Certification never raises on a bad matrix: the result
-carries a verdict per requested check plus the residuals that justify
-it, so callers can decide what a failure means.
+polynomial identity (``eigen.same_char_poly``: one Hessenberg run modulo
+a proven prime above a Hadamard-type bound, else over Q or Q(i)), with no
+tolerance and no root finding.  Certification never raises on a bad
+matrix: the result carries a verdict per requested check plus the
+residuals that justify it, so callers can decide what a failure means.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional, Sequence
 
-from .eigen import eigenvalues, match_multisets
+from .eigen import eigenvalues, match_multisets, same_char_poly
 from .matrix import DenseMatrix, row_sums
 from .scalars import im_part, is_exact, is_real, re_part, scalar_abs, to_float
 
@@ -94,11 +97,14 @@ def certify(
     (within ``nonneg_slack`` on the float backend, exactly on the exact
     backend) and ``constant_row_sums`` for equal row sums.  When B is
     exact and every spectrum target is exact, the spectrum check is
-    ``char_poly(B) == prod(t - target)`` over Q or Q(i), with no
-    tolerance; ``spectrum_tol`` does not apply.  Otherwise spectrum
-    matching uses the eigenvalue engine plus greedy closest-first
-    pairing, judged against ``spectrum_tol`` (default: 1e-7 relative to
-    the largest target modulus).  Never raises on a failing check.
+    ``char_poly(B) == prod(t - target)``, decided exactly by
+    ``eigen.same_char_poly`` against a matrix built from the targets
+    (modulo one proven prime above a Hadamard-type bound when B and the
+    targets are rational, else over Q or Q(i)); ``spectrum_tol`` does not
+    apply, and for a real B targets not closed under conjugation fail.
+    Otherwise spectrum matching uses the eigenvalue engine plus greedy
+    closest-first pairing, judged against ``spectrum_tol`` (default: 1e-7
+    relative to the largest target modulus).  Never raises on a failing check.
     """
     checks: dict = {}
     thresholds: dict = {}
@@ -116,11 +122,7 @@ def certify(
             thresholds["spectrum"] = 0.0
             spectrum_residual = float("inf")
         elif exact:
-            # looked up at call time, so a wrapper installed on
-            # eigen.char_poly sees these calls too
-            from .eigen import char_poly
-
-            ok = char_poly(B) == char_poly(DenseMatrix.diagonal_matrix(targets))
+            ok = _exact_spectrum_check(B, targets)
             checks["spectrum"] = ok
             thresholds["spectrum"] = 0.0
             spectrum_residual = 0.0 if ok else float("inf")
@@ -195,3 +197,30 @@ def certify(
         row_sum_deviation=row_sum_deviation,
         computed_spectrum=computed,
     )
+
+
+def _exact_spectrum_check(B: DenseMatrix, targets: list) -> bool:
+    """``char_poly(B) == prod(t - target)``, decided by ``same_char_poly``.
+
+    For a real B the targets become a real matrix with the same char
+    poly: the real values on the diagonal and a block [[a, -b], [b, a]]
+    for each pair a +- bi.  Targets not closed under conjugation are
+    then rejected outright, since the char poly of a real B is real.
+    """
+    if not B.is_real():
+        return same_char_poly(B, DenseMatrix.diagonal_matrix(targets))
+    nonreal = Counter(z for z in targets if not is_real(z))
+    if any(nonreal[z.conjugate()] != c for z, c in nonreal.items()):
+        return False
+    zero = Fraction(0)
+    rows = [[zero] * B.n for _ in range(B.n)]
+    k = 0
+    for z in targets:
+        if is_real(z):
+            rows[k][k] = Fraction(z)
+            k += 1
+        elif z.im > 0:
+            rows[k][k] = rows[k + 1][k + 1] = z.re
+            rows[k][k + 1], rows[k + 1][k] = -z.im, z.im
+            k += 2
+    return same_char_poly(B, DenseMatrix._trusted(rows, True))

@@ -342,9 +342,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_tol_value(argv: list) -> list:
+    """Rewrite ``--tol X`` (or an abbreviation such as ``--to X``) as
+    ``--tol=X``.  argparse reads a separate value such as ``-1e-3`` or
+    ``-inf`` as an option, so the tolerance check would never see it."""
+    out: list = []
+    for a in argv:
+        if out and len(out[-1]) > 2 and "--tol".startswith(out[-1]):
+            out[-1] = f"--tol={a}"
+        else:
+            out.append(a)
+    return out
+
+
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_tol_value(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except FeasibilityError as exc:

@@ -1,14 +1,18 @@
 """Dense eigenvalue engine used to certify every construction in the package.
 
-The exact characteristic polynomial (Hessenberg reduction and
-recurrence over Q or Q(i)) certifies exact outputs by identity, with no
-root finding.  Float spectra of float matrices (and exact complex ones)
-come from LAPACK through ``numpy.linalg.eigvals``; for real input the
-values are then paired into exact conjugates.  Float spectra of real
-exact-backend matrices, which tests and checks against float targets
-use, come from the exact characteristic polynomial split into
-square-free factors, each solved by ``numpy.roots``, so the solver only
-ever sees simple roots and a multiple eigenvalue costs no accuracy.  A
+Exact outputs are certified by characteristic-polynomial identity, with
+no root finding: :func:`same_char_poly` runs the Hessenberg reduction and
+recurrence once modulo one proven prime (2^521 - 1, 2^607 - 1 or
+2^1279 - 1) above a Hadamard-type bound on the coefficients, and falls
+back to the exact characteristic polynomial over Q or Q(i) for complex
+entries or a bound beyond the largest prime.  Float spectra of float
+matrices (and exact complex ones) come from LAPACK through
+``numpy.linalg.eigvals``; for real input the values are then paired
+into exact conjugates.  Float spectra of real exact-backend matrices,
+which tests and checks against float targets use, come from the exact
+characteristic polynomial split into square-free factors, each solved
+by ``numpy.roots``, so the solver only ever sees simple roots and a
+multiple eigenvalue costs no accuracy.  A
 second, independent route solves the characteristic polynomial with
 Durand-Kerner simultaneous iteration; the routes cross-check each other
 in the test suite.
@@ -178,7 +182,9 @@ def char_poly(A: DenseMatrix) -> list:
     return coeffs
 
 
-def _hessenberg_char_poly(rows: Sequence[Sequence]) -> list:
+def _hessenberg_char_poly(
+    rows: Sequence[Sequence], prime: Optional[int] = None
+) -> list:
     """Exact characteristic polynomial of a square matrix of exact scalars.
 
     The matrix is brought to upper Hessenberg form H by Gaussian
@@ -191,10 +197,15 @@ def _hessenberg_char_poly(rows: Sequence[Sequence]) -> list:
               - sum_{i<k} h_ik (h_{i+1,i} ... h_{k,k-1}) p_{i-1}
 
     (Cohen, A Course in Computational Algebraic Number Theory, 2.2.9).
+
+    With a ``prime`` p the entries are residues in [0, p) and the same
+    steps run in Z/pZ: every updated row, the updated column and every
+    p_k are reduced once, pivots are nonzero residues, and the result is
+    the char poly's coefficients as residues mod p.
     """
     H = [list(r) for r in rows]
     n = len(H)
-    zero, one = Fraction(0), Fraction(1)
+    zero, one = (0, 1) if prime else (Fraction(0), Fraction(1))
     for m in range(1, n - 1):
         piv = next((i for i in range(m, n) if H[i][m - 1]), None)
         if piv is None:
@@ -204,18 +215,25 @@ def _hessenberg_char_poly(rows: Sequence[Sequence]) -> list:
             for r in H:
                 r[piv], r[m] = r[m], r[piv]
         row_m = H[m]
-        inv = 1 / row_m[m - 1]
+        inv = pow(row_m[m - 1], -1, prime) if prime else 1 / row_m[m - 1]
         for i in range(m + 1, n):
             row_i = H[i]
             if not row_i[m - 1]:
                 continue
             u = row_i[m - 1] * inv
+            if prime:
+                u %= prime
             for j in range(m - 1, n):
                 if row_m[j]:
                     row_i[j] -= u * row_m[j]
+            if prime:
+                row_i[m - 1 :] = [x % prime for x in row_i[m - 1 :]]
             for r in H:
                 if r[i]:
                     r[m] += u * r[i]
+        if prime:
+            for r in H:
+                r[m] %= prime
     # polys[k] holds p_k lowest degree first
     polys = [[one]]
     for k in range(n):
@@ -228,14 +246,87 @@ def _hessenberg_char_poly(rows: Sequence[Sequence]) -> list:
         prod = one
         for i in range(k - 1, -1, -1):
             prod = prod * H[i + 1][i]
+            if prime:
+                prod %= prime
             if not prod:
                 break
             coef = H[i][k] * prod
             if coef:
                 for d, c in enumerate(polys[i]):
                     p[d] -= coef * c
+        if prime:
+            p = [c % prime for c in p]
         polys.append(p)
     return polys[n][::-1]
+
+
+# Proven primes (the Mersenne primes 2^521 - 1, 2^607 - 1 and 2^1279 - 1),
+# smallest first, for deciding char-poly identity by one modular run.
+IDENTITY_PRIMES = tuple((1 << e) - 1 for e in (521, 607, 1279))
+
+
+def same_char_poly(X: DenseMatrix, Y: DenseMatrix) -> bool:
+    """Whether ``char_poly(X) == char_poly(Y)`` for two exact matrices.
+
+    Decided exactly and deterministically by one Hessenberg run of each
+    matrix modulo a prime P.  For each matrix Z let r_i be the lcm of the
+    denominators in row i, L_Z = prod r_i and
+    H_Z = prod (r_i + ceil(||r_i row_i(Z)||_2)).  With D = diag(r_i),
+    L_Z c_k(Z) is a coefficient of det(t D - D Z), an integer polynomial
+    whose coefficients are at most H_Z in modulus (expand by rows and
+    bound each principal minor of D Z by Hadamard's inequality).  So
+    L_X L_Y (c_k(X) - c_k(Y)) is an integer of modulus at most
+    M = L_Y H_X + L_X H_Y.  P is the smallest of ``IDENTITY_PRIMES``
+    above M: then the identity mod P is the identity over Q, and P
+    divides no denominator (every r_i <= M).
+
+    When an entry is not rational (a ``ComplexRational``) or M exceeds
+    the largest prime, the answer is ``char_poly(X) == char_poly(Y)``
+    over Q or Q(i).
+    """
+    scaled = [_integer_rows(Z) for Z in (X, Y)]
+    if None not in scaled:
+        (rows_x, l_x, h_x), (rows_y, l_y, h_y) = scaled
+        bound = l_y * h_x + l_x * h_y
+        prime = next((p for p in IDENTITY_PRIMES if p > bound), None)
+        if prime is not None:
+            return _hessenberg_char_poly(
+                _residues(rows_x, prime), prime
+            ) == _hessenberg_char_poly(_residues(rows_y, prime), prime)
+    return char_poly(X) == char_poly(Y)
+
+
+def _integer_rows(Z: DenseMatrix):
+    """Z's rows scaled to integers, as (r_i, r_i * row_i) pairs, with
+    L_Z and H_Z of :func:`same_char_poly`; None unless Z is rational."""
+    if not (Z.exact and Z.is_real()):
+        return None
+    out = []
+    lcm_prod = height = 1
+    for row in Z.rows:
+        r = math.lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (r // x.denominator) for x in row]
+        sq = sum(v * v for v in ints)
+        norm = math.isqrt(sq)
+        if norm * norm < sq:
+            norm += 1
+        out.append((r, ints))
+        lcm_prod *= r
+        height *= r + norm
+    return out, lcm_prod, height
+
+
+def _residues(scaled_rows, prime: int) -> list:
+    """The rows r_i^-1 (r_i row_i) reduced mod ``prime``, one inverse per
+    distinct r_i."""
+    inverses: dict = {}
+    out = []
+    for r, ints in scaled_rows:
+        if r not in inverses:
+            inverses[r] = pow(r, -1, prime)
+        inv = inverses[r]
+        out.append([v * inv % prime for v in ints])
+    return out
 
 
 def poly_roots(coeffs: Sequence, tol: float = 1e-12, max_iter: int = 500) -> list:

@@ -340,18 +340,20 @@ def _certified(A, B, target, steps, spec_a=None):
     """Return (B, its trace) once B passes self-certification.
 
     The diagonal must equal the target exactly.  An exact B must have the
-    same characteristic polynomial as A over Q or Q(i), with no
-    tolerance.  A float B must have a float spectrum within
+    same characteristic polynomial as A, with no tolerance: decided by
+    :func:`~diagforge.eigen.same_char_poly`, modulo one proven prime above
+    a Hadamard-type bound for rational entries, else over Q or Q(i).
+    A float B must have a float spectrum within
     SPECTRUM_CERT_TOL (relative to the largest modulus in ``spec_a``) of
     ``spec_a``, the float spectrum of A computed by the caller.  A
     non-finite spectrum never matches.
     """
-    from .eigen import char_poly, eigenvalues, match_multisets
+    from .eigen import eigenvalues, match_multisets, same_char_poly
 
     gs = _match_backend(target.gammas, B)
     diag_ok = all(x == g for x, g in zip(B.diagonal(), gs))
     if B.exact:
-        spectrum_ok = char_poly(B) == char_poly(A)
+        spectrum_ok = same_char_poly(A, B)
         detail = f"char poly identical: {spectrum_ok}"
     else:
         lam_scale = max(1.0, max(abs(v) for v in spec_a.values))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import diagforge.eigen
 from diagforge.certify import certify
 from diagforge.matrix import DenseMatrix
 from diagforge.nonneg import realize_suleimanova
@@ -158,3 +159,52 @@ def test_exact_matrix_with_float_targets_takes_the_numeric_route():
     assert cert.ok
     assert len(cert.computed_spectrum) == 3
     assert 0.0 < cert.thresholds["spectrum"] < 1e-6
+
+
+def wedge_24():
+    """A Suleimanova-type realization at n = 24 with seven conjugate
+    pairs, as the wedge-exact benchmark workload builds them."""
+    reals = [-Fraction(k % 12 + 1, k % 4 + 1) for k in range(9)]
+    pairs = [(Fraction(k % 8 + 1, k % 3 + 1), Fraction(k + 1, 10)) for k in range(7)]
+    spectrum = [-sum(reals) + sum(x * (2 + y) for x, y in pairs) + Fraction(7, 3)]
+    spectrum += reals
+    for x, y in pairs:
+        spectrum += [exact_complex(-x, x * y), exact_complex(-x, -x * y)]
+    weights = [(3 * k) % 10 for k in range(24)]
+    gammas = [sum(spectrum) * Fraction(w, sum(weights)) for w in weights]
+    return realize_suleimanova(spectrum, gammas), spectrum, gammas
+
+
+class TestModularIdentity:
+    @pytest.fixture(autouse=True)
+    def no_char_poly(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("exact certification called char_poly()")
+
+        monkeypatch.setattr(diagforge.eigen, "char_poly", forbidden)
+
+    def test_wedge_realization_at_24_keeps_its_certificate(self):
+        B, spectrum, gammas = wedge_24()
+        cert = certify(
+            B, spectrum=spectrum, diagonal=gammas, nonneg=True, constant_row_sums=True
+        )
+        names = ("spectrum", "diagonal", "nonneg", "constant_row_sums")
+        assert cert.to_dict() == {
+            "ok": True,
+            "checks": dict.fromkeys(names, True),
+            "thresholds": dict.fromkeys(names, 0.0),
+            "spectrum_residual": 0.0,
+            "diag_residual": 0.0,
+            "min_entry": 0.0,
+            "row_sum_deviation": 0.0,
+            "computed_spectrum": [],
+        }
+
+    def test_wedge_targets_missing_a_conjugate_are_rejected(self):
+        B, spectrum, _ = wedge_24()
+        z = spectrum[-1]
+        # a - bi replaced by a: same length and real trace, no longer
+        # closed under conjugation
+        cert = certify(B, spectrum=spectrum[:-1] + [z.re])
+        assert cert.checks == {"spectrum": False}
+        assert cert.spectrum_residual == math.inf

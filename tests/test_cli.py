@@ -1,5 +1,7 @@
+import hashlib
 import importlib
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -407,6 +409,30 @@ class TestCertifiedOnce:
         assert gen == sim
 
 
+class TestExactSimilar:
+    def test_constant_row_sums_at_24_certify_without_char_poly(
+        self, tmp_path, monkeypatch
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("similar --exact called char_poly")
+
+        monkeypatch.setattr(diagforge.eigen, "char_poly", forbidden)
+        n = 24
+        rows = [[(7 * i + 3 * j) % 11 - 5 for j in range(n - 1)] for i in range(n)]
+        for r in rows:
+            r.append(10 - sum(r))
+        gammas = [Fraction(k % 5, 3) for k in range(n - 1)]
+        gammas.append(sum(rows[i][i] for i in range(n)) - sum(gammas))
+        problem = {"matrix": rows, "diagonal": [str(g) for g in gammas]}
+        code, doc, text = run(tmp_path, problem, "similar", "--exact")
+        assert code == 0
+        assert [s["op"] for s in doc["trace"]] == ["rank_one"]
+        # the output certified by char-poly identity over Q, byte for byte
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "8fe3f7a46da1a3d0eda423a8ca4c3762e05963149a4e6db8c9fda8a3180d116c"
+        )
+
+
 class TestTolerance:
     """A tolerance from ``--tol`` or from the file's ``tol`` or
     ``tolerance`` key must be a finite number > 0; anything else is
@@ -425,6 +451,13 @@ class TestTolerance:
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-1", "0"])
     def test_flag(self, tmp_path, bad):
         self.assert_invalid(*run(tmp_path, self.PROBLEM, "similar", f"--tol={bad}")[:2])
+
+    @pytest.mark.parametrize("flag", ["--tol", "--to"])
+    @pytest.mark.parametrize("bad", ["-1e-3", "-inf", "-1"])
+    def test_flag_with_a_separate_negative_value(self, tmp_path, bad, flag):
+        code, doc, text = run(tmp_path, self.PROBLEM, "similar", flag, bad)
+        self.assert_invalid(code, doc)
+        assert text == run(tmp_path, self.PROBLEM, "similar", f"--tol={bad}")[2]
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", -1, 0, "0", True, [1e-9]])
     def test_document_key(self, tmp_path, bad):

@@ -8,6 +8,7 @@ import pytest
 
 import diagforge.eigen
 from diagforge.eigen import (
+    IDENTITY_PRIMES,
     MatchResult,
     all_nonzero_eigenvector,
     char_poly,
@@ -17,6 +18,7 @@ from diagforge.eigen import (
     match_multisets,
     poly_roots,
     right_eigenvector,
+    same_char_poly,
 )
 from diagforge.errors import ConvergenceError
 from diagforge.matrix import DenseMatrix
@@ -148,6 +150,135 @@ def test_exact_char_poly_matches_faddeev_on_random_matrices():
 )
 def test_exact_char_poly_branches_match_faddeev(rows):
     assert_exact_char_poly_matches_oracle(DenseMatrix(rows))
+
+
+def test_identity_primes_are_mersenne_primes_by_lucas_lehmer():
+    assert IDENTITY_PRIMES == tuple((1 << e) - 1 for e in (521, 607, 1279))
+    for e in (521, 607, 1279):
+        p, s = (1 << e) - 1, 4
+        for _ in range(e - 2):
+            s = (s * s - 2) % p
+        assert s == 0
+
+
+def transvection_conjugate(rows, rng):
+    """R X R^-1 for R a product of rational transvections I + c E_ij."""
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        # (I + c E_ij) X: row i += c row j; then X (I - c E_ij): column j -= c column i
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        for r in rows:
+            r[j] -= c * r[i]
+    return DenseMatrix(rows)
+
+
+def same_char_poly_cases(rng, complex_share, max_n):
+    """Seeded exact pairs: conjugates, and conjugates with one entry
+    changed by 1/7.  A random scale of up to 32 bits spreads the rational
+    pairs over every prime of the table."""
+    cases = []
+    for _ in range(60):
+        n = rng.randint(2, max_n)
+        bits = rng.choice([1, 16, 24, 32])
+        scale = Fraction(rng.randint(1, 2**bits), rng.randint(1, 2**bits))
+        rows = [
+            [scale * random_exact_entry(rng, rng.choice([0.5, 1.0]), complex_share)
+             for _ in range(n)]
+            for _ in range(n)
+        ]
+        x = DenseMatrix(rows)
+        y = transvection_conjugate(rows, rng)
+        cases.append((x, y, True))
+        changed = [list(r) for r in y.rows]
+        changed[rng.randrange(n)][rng.randrange(n)] += Fraction(1, 7)
+        cases.append((x, DenseMatrix(changed), None))
+    return cases
+
+
+def test_same_char_poly_on_rationals_is_the_char_poly_identity(monkeypatch):
+    cases = same_char_poly_cases(random.Random(20261019), 0.0, max_n=9)
+    cases += [
+        (DenseMatrix._trusted([], True), DenseMatrix._trusted([], True), True),
+        (DenseMatrix([[Fraction(-7, 3)]]), DenseMatrix([[Fraction(-7, 3)]]), True),
+        (DenseMatrix([[Fraction(-7, 3)]]), DenseMatrix([[Fraction(-8, 3)]]), False),
+        (DenseMatrix([[1, 2], [3, 4]]), DenseMatrix([[4, 3], [2, 1]]), True),
+        (DenseMatrix([[1, 2], [3, 4]]), DenseMatrix([[4, 2], [3, 1]]), True),
+        (DenseMatrix([[1, 2], [3, 4]]), DenseMatrix([[1, 3], [3, 4]]), False),
+    ]
+    want = [char_poly(x) == char_poly(y) for x, y, _ in cases]
+    for (_, _, known), w in zip(cases, want):
+        assert known is None or known == w
+    assert want.count(False) >= 60
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("rational input fell back to char_poly")
+
+    monkeypatch.setattr(diagforge.eigen, "char_poly", forbidden)
+    assert [same_char_poly(x, y) for x, y, _ in cases] == want
+
+
+def test_same_char_poly_falls_back_over_gaussian_rationals(monkeypatch):
+    cases = same_char_poly_cases(random.Random(20261020), 0.4, max_n=5)
+    cases = [(x, y) for x, y, _ in cases if not (x.is_real() and y.is_real())]
+    assert len(cases) >= 40
+    want = [char_poly(x) == char_poly(y) for x, y in cases]
+    assert True in want and False in want
+    original, calls = diagforge.eigen.char_poly, []
+
+    def counted(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(diagforge.eigen, "char_poly", counted)
+    assert [same_char_poly(x, y) for x, y in cases] == want
+    assert len(calls) == 2 * len(cases)
+
+
+def companion(coeffs):
+    """Companion matrix of the monic polynomial [1, c1, ..., cn]."""
+    n = len(coeffs) - 1
+    rows = [[-c for c in coeffs[1:]]]
+    rows += [[1 if j == i else 0 for j in range(n)] for i in range(n - 1)]
+    return DenseMatrix(rows)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # zero pivot with a nonzero entry below: row/column swap
+        [[1, 2, 3], [0, 4, 5], [6, 7, Fraction(8, 3)]],
+        [[0, 1, 0, 2], [0, 0, 3, 1], [0, 0, 0, 4], [5, 0, 0, 0]],
+        # zero sub-column: the step is skipped
+        [[1, 2, 3], [0, 4, 5], [0, 7, 8]],
+        [[2, 0, 0, 0], [0, 2, 0, 0], [1, 0, 2, 0], [0, 0, 0, Fraction(-1, 9)]],
+    ],
+)
+def test_same_char_poly_branches_against_the_companion_matrix(rows):
+    x = DenseMatrix(rows)
+    coeffs = char_poly(x)
+    assert same_char_poly(x, companion(coeffs))
+    coeffs[-1] += Fraction(1, 7)
+    assert not same_char_poly(x, companion(coeffs))
+
+
+P521, P607, P1279 = IDENTITY_PRIMES
+
+
+@pytest.mark.parametrize(
+    "value",
+    [P521, P607, P1279, P521 * P607 * P1279],
+    ids=["p521", "p607", "p1279", "p521-p607-p1279"],
+)
+def test_same_char_poly_rejects_a_difference_divisible_by_the_primes(value):
+    # t and t - value agree modulo every prime that divides value
+    assert not same_char_poly(DenseMatrix([[0]]), DenseMatrix([[value]]))
+    assert not same_char_poly(
+        DenseMatrix([[1, 0], [0, 0]]), DenseMatrix([[1, 0], [0, value]])
+    )
+    assert same_char_poly(DenseMatrix([[value]]), DenseMatrix([[value]]))
 
 
 def test_float_char_poly_is_faddeev_leverrier():
