@@ -166,6 +166,21 @@ def _setting(args, doc, key, default):
     return default
 
 
+def _mode(args, doc, default) -> str:
+    mode = _setting(args, doc, "mode", default)
+    if mode not in ("nonnegative", "general"):
+        raise ProblemError(f"unknown mode: {mode!r}")
+    return mode
+
+
+def _flag(doc, key, default) -> bool:
+    """The file's ``key`` if present, which must be a JSON boolean."""
+    value = doc.get(key, default)
+    if not isinstance(value, bool):
+        raise ProblemError(f"{key!r} must be true or false, got {value!r}")
+    return value
+
+
 def _tolerance(args, doc) -> float:
     """The ``--tol`` flag, else the file's ``tol`` or ``tolerance`` key
     (null counts as absent), else 1e-9; it must be a finite number > 0."""
@@ -207,9 +222,7 @@ def cmd_classify(args) -> int:
 
 def cmd_realize(args) -> int:
     doc = load_problem(args.input)
-    mode = _setting(args, doc, "mode", "nonnegative")
-    if mode not in ("nonnegative", "general"):
-        raise ProblemError(f"unknown mode: {mode!r}")
+    mode = _mode(args, doc, "nonnegative")
     if mode == "general":
         if "spectrum" in doc:
             raise ProblemError("general mode takes 'matrix', not 'spectrum'")
@@ -288,9 +301,9 @@ def cmd_verify(args) -> int:
         if "diagonal" in doc
         else None
     )
-    mode = _setting(args, doc, "mode", "general")
-    nonneg = bool(doc.get("nonneg", mode == "nonnegative"))
-    cs = bool(doc.get("constant_row_sums", False))
+    mode = _mode(args, doc, "general")
+    nonneg = _flag(doc, "nonneg", mode == "nonnegative")
+    cs = _flag(doc, "constant_row_sums", False)
     if spectrum is None and diagonal is None and not nonneg and not cs:
         raise ProblemError("verify needs at least one target or flag to check")
     cert = certify(A, spectrum=spectrum, diagonal=diagonal, nonneg=nonneg,
@@ -329,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     realize.add_argument("--order", choices=("keep", "auto"), default=None,
                          help="diagonal assignment policy (default auto)")
     realize.add_argument("--seed", type=int, default=None,
-                         help="seed for the assignment search")
+                         help="accepted for compatibility; has no effect")
     realize.set_defaults(fn=cmd_realize)
 
     sub.add_parser("similar", parents=[common],

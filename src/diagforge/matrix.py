@@ -100,10 +100,6 @@ class DenseMatrix:
         n = len(d)
         return cls([[d[i] if i == j else zero for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def from_numpy(cls, arr: np.ndarray) -> "DenseMatrix":
-        return cls([[x for x in row] for row in arr.tolist()])
-
     # -- access -------------------------------------------------------
 
     def __getitem__(self, ij):

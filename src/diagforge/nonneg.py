@@ -11,19 +11,18 @@ the chain, and joins the two with a bridge eigenvalue whose value is
 forced by the trace.
 
 All constructions work on the exact (Fraction) backend when the inputs
-are exact, so outputs can be compared entry by entry.  Feasibility of
-an assignment of diagonal entries to construction slots is not
-guaranteed in general; the planner searches assignments and reports
-failure honestly rather than returning a wrong matrix.
+are exact, so outputs can be compared entry by entry.  On exact input
+every assignment of a nonnegative diagonal with the right trace to the
+construction slots is feasible (see realize_mixed); on float input an
+attempt can still fail by rounding, and that failure is reported rather
+than returning a wrong matrix.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional, Sequence
 
 from .certify import RealizationCertificate
@@ -47,9 +46,6 @@ from .scalars import (
 from .similarity import DiagonalTarget, as_diagonal_target, set_diagonal_cs
 
 DEGENERATE_CORNER_TOL = 1e-10
-PLANNER_NODE_BUDGET = 2_000_000
-PLANNER_RESTARTS = 8
-EXHAUSTIVE_LIMIT = 12
 
 
 class SpectrumClass(str, Enum):
@@ -721,9 +717,9 @@ def realize_smigoc(spectrum, gammas, tol: float = 1e-9) -> DenseMatrix:
     """Realize a spectrum whose tail is nonreal wide-wedge pairs.
 
     The diagonal entries are consumed in the order given: the last three
-    feed the outermost 3x3 block, and so on inward.  Feasibility can
-    depend on that order; this function does not search, it reports the
-    failing level honestly (use realize_mixed for planning).
+    feed the outermost 3x3 block, and so on inward.  On exact input
+    every order is feasible (see realize_mixed); on float input a level
+    that rounding pushes past a boundary is reported with its level.
     """
     spec = as_spectrum(spectrum, tol=tol)
     target = _nonneg_target(gammas)
@@ -750,7 +746,7 @@ def realize_smigoc(spectrum, gammas, tol: float = 1e-9) -> DenseMatrix:
 
 
 # ---------------------------------------------------------------------------
-# the full pipeline with assignment planning
+# the full pipeline
 # ---------------------------------------------------------------------------
 
 
@@ -804,12 +800,27 @@ def realize_mixed(
     eigenvalue c = sum of the head spectrum minus the head diagonal.
 
     order="keep" consumes diagonal entries exactly in the order given
-    (the template/F block first, then the chain) and fails honestly if
-    that assignment is infeasible.  order="auto" searches assignments:
-    largest entries to the F block first, then identity, then a
-    memoized backtracking search.  The output diagonal always matches
-    ``gammas`` in the caller's order; the plan records the internal
-    assignment and the permutation that restored it.
+    (the template/F block first, then the chain).  order="auto" gives
+    the largest entries to the F block first and retries the caller's
+    order.  The output diagonal always matches ``gammas`` in the
+    caller's order; the plan records the internal assignment and the
+    permutation that restored it.  ``seed`` is accepted and has no
+    effect.
+
+    On exact input every order succeeds, so the first attempt is the
+    only one.  The bridge into the chain is c = (the diagonal entries
+    given to the chain) + 2 sum |Re z| over the chain pairs, by the
+    trace; so c >= 2|x| >= |z| for every pair z = x + iy, since the
+    wide wedge has y^2 <= 3x^2.  The same holds for each bridge inside
+    the chain and for the dominant value of the innermost block.  Each
+    3x3 block then has lam = g1 + g2 + g3 + 2|x|, so that
+      - every g_k <= lam, and max g_k >= 0 >= x;
+      - e2(spectrum) = |z|^2 - 2 lam |x| <= y^2 - 3x^2 <= 0 <= e2(gammas);
+      - lam > g3 unless g1 = g2 = x = y = 0, the all-zero corner case;
+      - the (2,1) entry lam - g2 - p equals
+        (g1 (g1 + 2|x|) + |z|^2) / (lam - g3) >= 0.
+    The F block takes any nonnegative diagonal (realize_suleimanova).
+    On float input an attempt can fail only by rounding at a boundary.
 
     Returns (B, RealizationPlan).  The output is certified internally
     (nonnegative, constant row sums, spectrum, diagonal) and the plan
@@ -842,7 +853,7 @@ def realize_mixed(
 
     head_vals, chain_pairs = _split_parts(spec)
     last_error: Optional[FeasibilityError] = None
-    for sigma in _assignments(cls.tag, spec, target, order, seed, tol):
+    for sigma in _assignments(cls.tag, target, order):
         try:
             built, bridges, ts = _attempt(
                 spec, cls, target, sigma, head_vals, chain_pairs, tol
@@ -863,14 +874,12 @@ def realize_mixed(
             certificate=_self_certify(B, spec, target),
         )
         return B, plan
-    if last_error is not None:
-        raise FeasibilityError(
-            f"no feasible diagonal assignment found (last failure: {last_error})",
-            condition=last_error.condition,
-            level=last_error.level,
-            report=last_error.report,
-        )
-    raise FeasibilityError("no assignment candidates", condition="planner")
+    raise FeasibilityError(
+        f"no feasible diagonal assignment found (last failure: {last_error})",
+        condition=last_error.condition,
+        level=last_error.level,
+        report=last_error.report,
+    )
 
 
 def _split_parts(spec: Spectrum):
@@ -907,8 +916,8 @@ def _attempt(spec, cls, target, sigma, head_vals, chain_pairs, tol):
             level=0,
             condition="bridge-negative",
         )
-    worst = max(to_float(abs2(z)) for z in chain_pairs)
-    if to_float(c) * to_float(c) < worst - (0 if exact else tol * spec.scale() ** 2):
+    worst = max(abs2(z) for z in chain_pairs)
+    if c * c < worst - (0 if exact else tol * spec.scale() ** 2):
         raise FeasibilityError(
             f"bridge value {to_float(c)} does not dominate the chain",
             level=0,
@@ -950,160 +959,20 @@ def _self_certify(B, spec, target) -> RealizationCertificate:
 
 
 # ---------------------------------------------------------------------------
-# assignment planner
+# assignment candidates
 # ---------------------------------------------------------------------------
 
 
-def _assignments(tag, spec, target, order, seed, tol):
-    """Yield candidate slot->position assignments, cheapest ideas first."""
-    n = target.n
-    identity = tuple(range(n))
-    if order == "keep":
-        yield identity
-        return
-    if tag is SpectrumClass.SULEIMANOVA_F:
-        # any nonnegative assignment works; keep the caller's order
-        yield identity
-        return
-    desc = tuple(
-        sorted(range(n), key=lambda i: (-to_float(target.gammas[i]), i))
-    )
-    yield desc
-    if identity != desc:
-        yield identity
-    yield from _planned_assignments(tag, spec, target, seed, tol, skip={desc, identity})
+def _assignments(tag, target, order) -> tuple:
+    """Slot->position assignments to attempt, in order.
 
-
-def _planned_assignments(tag, spec, target, seed, tol, skip):
-    head_vals, chain_pairs = _split_parts(spec)
-    p = len(head_vals)
-    gam = target.gammas
-    n = len(gam)
-    rng = random.Random(1234567 if seed is None else seed)
-    exhaustive = n <= EXHAUSTIVE_LIMIT
-    restarts = 1 if exhaustive else PLANNER_RESTARTS
-    for _attempt in range(restarts):
-        budget = [PLANNER_NODE_BUDGET // restarts]
-        seen_states: set = set()
-        if tag is SpectrumClass.SMIGOC_G:
-            for sigma in _search_chain(
-                spec.perron, chain_pairs, tuple(range(n)), gam, tol,
-                rng, budget, seen_states, shuffle=not exhaustive,
-            ):
-                if sigma not in skip:
-                    skip.add(sigma)
-                    yield sigma
-        else:
-            # mixed: choose the head sub-multiset first; only its sum matters
-            sum_head = head_vals[0]
-            for v in head_vals[1:]:
-                sum_head = sum_head + re_part(v)
-            seen_head: set = set()
-            if exhaustive:
-                picks = combinations(range(n), p - 1)
-            else:
-                picks = (
-                    tuple(sorted(rng.sample(range(n), p - 1))) for _ in range(5000)
-                )
-            for head_idx in picks:
-                key = tuple(sorted(to_float(gam[i]) for i in head_idx))
-                if key in seen_head:
-                    continue
-                seen_head.add(key)
-                c = sum_head - sum(gam[i] for i in head_idx)
-                cf = to_float(c)
-                if cf < 0 or cf * cf < max(to_float(abs2(z)) for z in chain_pairs):
-                    continue
-                rest = tuple(i for i in range(n) if i not in set(head_idx))
-                for chain_sigma in _search_chain(
-                    c, chain_pairs, rest, gam, tol, rng, budget, seen_states,
-                    shuffle=not exhaustive,
-                ):
-                    sigma = tuple(head_idx) + chain_sigma
-                    if sigma not in skip:
-                        skip.add(sigma)
-                        yield sigma
-                if budget[0] <= 0:
-                    break
-        if budget[0] > 0:
-            break  # space exhausted, more restarts cannot help
-
-
-def _search_chain(lam1, pairs, positions, gam, tol, rng, budget, seen, shuffle):
-    """DFS over which diagonal values feed which chain level.
-
-    Levels are explored outermost first: the outer block takes three
-    free values, every deeper level two (its third slot is the incoming
-    bridge).  Feasibility only depends on the chosen multiset per level,
-    so states are memoized on (depth, remaining multiset).
+    On exact input the first always succeeds (see realize_mixed).  On
+    float input only rounding can fail an attempt; the descending order
+    keeps the large entries away from the boundaries, and the identity
+    is the one retry.
     """
-    m = len(pairs)
-    lam1f = to_float(lam1)
-    heads = [lam1]
-    for z in pairs[:-1]:
-        heads.append(heads[-1] + 2 * re_part(z))
-    # heads[j] = lam1 + 2*sum(Re pairs[:j]); bridge below level t uses heads[m-1-t]
-
-    def absq(z):
-        return to_float(abs2(z))
-
-    def feasible_entry(g, cap):
-        return to_float(gam[g]) <= cap + tol * max(1.0, abs(cap))
-
-    def rec(t, remaining, incoming):
-        # t-th split from the outside; pairs[m-1-t] is consumed here
-        if budget[0] <= 0:
-            return
-        budget[0] -= 1
-        if t == m - 1:
-            # base: {lam1, pairs[0]} with two free values and the incoming bridge
-            cap = lam1f
-            if incoming is not None and to_float(incoming) > cap + tol:
-                return
-            if lam1f * lam1f < absq(pairs[0]) - tol:
-                return
-            if all(feasible_entry(g, cap) for g in remaining):
-                yield (tuple(remaining),)
-            return
-        state = (t, lam1f, tuple(sorted(to_float(gam[g]) for g in remaining)))
-        if state in seen:
-            return
-        take = 3 if t == 0 else 2
-        rem_sum = sum(gam[g] for g in remaining)
-        head = heads[m - 1 - t]
-        found = False
-        combos = list(combinations(range(len(remaining)), take))
-        if shuffle:
-            rng.shuffle(combos)
-        seen_local: set = set()
-        for combo in combos:
-            chosen = tuple(remaining[i] for i in combo)
-            key = tuple(sorted(to_float(gam[g]) for g in chosen))
-            if key in seen_local:
-                continue
-            seen_local.add(key)
-            c = head - (rem_sum - sum(gam[g] for g in chosen))
-            cf = to_float(c)
-            if cf < -tol:
-                continue
-            if cf * cf < absq(pairs[m - 1 - t]) - tol:
-                continue
-            if incoming is not None and to_float(incoming) > cf + tol:
-                continue
-            if not all(feasible_entry(g, cf) for g in chosen):
-                continue
-            rest = tuple(g for g in remaining if g not in set(chosen))
-            for deeper in rec(t + 1, rest, c):
-                found = True
-                yield deeper + (chosen,)
-        if not found:
-            seen.add(state)
-
-    for groups in rec(0, tuple(positions), None):
-        # groups: base pair first, then levels inward-to-outward;
-        # chain slots run base (0,1), level pairs, outer triple last
-        sigma: list = []
-        sigma.extend(groups[0])
-        for grp in groups[1:]:
-            sigma.extend(grp)
-        yield tuple(sigma)
+    identity = tuple(range(target.n))
+    if order == "keep" or tag is SpectrumClass.SULEIMANOVA_F:
+        return (identity,)
+    desc = tuple(sorted(range(target.n), key=lambda i: (-target.gammas[i], i)))
+    return (desc,) if desc == identity else (desc, identity)

@@ -141,10 +141,6 @@ def is_exact(x) -> bool:
     return isinstance(x, (int, Fraction, ComplexRational)) and not isinstance(x, bool)
 
 
-def is_float_scalar(x) -> bool:
-    return isinstance(x, (float, complex))
-
-
 def is_real(x) -> bool:
     if isinstance(x, ComplexRational):
         return False

@@ -290,6 +290,33 @@ class TestVerify:
         code, _, _ = run(tmp_path, {"matrix": self.GOOD}, "verify")
         assert code == 2
 
+    @pytest.mark.parametrize("key", ["nonneg", "constant_row_sums"])
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_flags_must_be_booleans(self, tmp_path, key, value):
+        problem = {"matrix": [[1, -1], [0, 2]], key: value}
+        code, doc, _ = run(tmp_path, problem, "verify")
+        assert code == 2
+        assert doc["status"] == "error"
+        assert key in doc["error"]
+
+    def test_unknown_mode_rejected(self, tmp_path):
+        problem = {"matrix": self.GOOD, "spectrum": [5, -1, -2], "mode": "nonsense"}
+        code, doc, _ = run(tmp_path, problem, "verify")
+        assert code == 2
+        assert doc["status"] == "error"
+        assert "mode" in doc["error"]
+
+    def test_nonnegative_mode_checks_nonneg(self, tmp_path):
+        problem = {"matrix": [[1, -1], [0, 2]], "mode": "nonnegative"}
+        code, doc, _ = run(tmp_path, problem, "verify")
+        assert code == 1
+        assert doc["certificate"]["checks"] == {"nonneg": False}
+        problem["nonneg"] = False
+        problem["diagonal"] = [1, 2]
+        code, doc, _ = run(tmp_path, problem, "verify")
+        assert code == 0
+        assert set(doc["certificate"]["checks"]) == {"diagonal"}
+
 
 class TestRoundTrip:
     def test_realize_then_verify(self, tmp_path):

@@ -542,3 +542,71 @@ def test_plan_carries_the_passing_certificate():
     # the certificate takes no part in comparing plans
     _, again = realize_mixed(spec, (1, 1, 0, 0), order="keep")
     assert again == plan
+
+
+def _in_class_problem(rng, tag):
+    """A random exact spectrum of class ``tag`` and a shuffled nonnegative
+    diagonal with its trace.  Wide pairs have 1 < |Im/Re| <= 1.73 <
+    sqrt(3); narrow pairs 0 < |Im/Re| <= 1."""
+
+    def re_part():
+        return Fraction(rng.randint(1, 12), rng.randint(1, 4))
+
+    n_g = 0 if tag is SpectrumClass.SULEIMANOVA_F else rng.randint(1, 6)
+    n_real = 0 if tag is SpectrumClass.SMIGOC_G else rng.randint(0, 6)
+    n_fpair = 0 if tag is SpectrumClass.SMIGOC_G else rng.randint(0, 3)
+    if tag is not SpectrumClass.SMIGOC_G and n_real + n_fpair == 0:
+        n_real = 1
+    reals = [-Fraction(rng.randint(0, 12), rng.randint(1, 4)) for _ in range(n_real)]
+    pairs = []
+    for _ in range(n_fpair):
+        x = re_part()
+        pairs.append(exact_complex(-x, x * Fraction(rng.randint(1, 10), 10)))
+    for _ in range(n_g):
+        x = re_part()
+        pairs.append(exact_complex(-x, x * Fraction(rng.randint(101, 173), 100)))
+    # a zero trace forces the all-zero diagonal
+    extra = 0 if rng.random() < 0.1 else Fraction(rng.randint(0, 40), rng.randint(1, 4))
+    total = -sum(reals) + sum(-2 * z.re for z in pairs)
+    vals = [total + extra] + reals
+    for z in pairs:
+        vals += [z, exact_complex(z.re, -z.im)]
+    weights = [rng.choice((0, 0, 1, 2, 5, 9)) for _ in vals]
+    if sum(weights) == 0:
+        weights[rng.randrange(len(weights))] = 1
+    gammas = [extra * Fraction(w, sum(weights)) for w in weights]
+    rng.shuffle(gammas)
+    return vals, tuple(gammas)
+
+
+@pytest.mark.parametrize(
+    "tag",
+    [SpectrumClass.SULEIMANOVA_F, SpectrumClass.SMIGOC_G, SpectrumClass.MIXED],
+)
+def test_every_assignment_is_feasible_on_exact_input(tag, monkeypatch):
+    # the trace condition alone makes any order feasible (see the proof in
+    # realize_mixed), so "keep" never fails and "auto" needs one attempt,
+    # also at the sizes (n > 12) and pair counts (up to 6) of larger lists
+    import diagforge.nonneg
+
+    attempt = diagforge.nonneg._attempt
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return attempt(*args)
+
+    monkeypatch.setattr(diagforge.nonneg, "_attempt", counted)
+    rng = random.Random(f"assignment:{tag.value}")
+    sizes = []
+    for k in range(60):
+        vals, gammas = _in_class_problem(rng, tag)
+        assert classify(vals).tag is tag
+        sizes.append(len(vals))
+        for order in ("keep", "auto"):
+            calls.clear()
+            b, plan = realize_mixed(vals, gammas, order=order)
+            assert plan.certificate.ok, (k, order)
+            assert b.exact and b.diagonal() == gammas, (k, order)
+            assert len(calls) == 1, (k, order)
+    assert max(sizes) > 12
