@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -85,26 +85,22 @@ def certify(
     diagonal: Optional[Sequence] = None,
     nonneg: bool = False,
     constant_row_sums: bool = False,
-    spectrum_tol: Optional[float] = None,
-    diag_tol: Optional[float] = None,
-    nonneg_slack: float = NONNEG_SLACK,
-    cs_tol: Optional[float] = None,
 ) -> RealizationCertificate:
     """Check a matrix against spectral and structural claims.
 
     ``spectrum`` and ``diagonal`` are target multisets/vectors; passing
     None skips that check.  ``nonneg`` asks for entrywise nonnegativity
-    (within ``nonneg_slack`` on the float backend, exactly on the exact
+    (within NONNEG_SLACK on the float backend, exactly on the exact
     backend) and ``constant_row_sums`` for equal row sums.  When B is
     exact and every spectrum target is exact, the spectrum check is
     ``char_poly(B) == prod(t - target)``, decided exactly by
     ``eigen.same_char_poly`` against a matrix built from the targets
     (modulo one proven prime above a Hadamard-type bound when B and the
-    targets are rational, else over Q or Q(i)); ``spectrum_tol`` does not
-    apply, and for a real B targets not closed under conjugation fail.
-    Otherwise spectrum matching uses the eigenvalue engine plus greedy
-    closest-first pairing, judged against ``spectrum_tol`` (default: 1e-7
-    relative to the largest target modulus).  Never raises on a failing check.
+    targets are rational, else over Q or Q(i)); for a real B targets not
+    closed under conjugation fail.  Otherwise spectrum matching uses the
+    eigenvalue engine plus greedy closest-first pairing, judged against
+    SPECTRUM_REL_TOL times the largest target modulus (at least 1).
+    Never raises on a failing check.
     """
     checks: dict = {}
     thresholds: dict = {}
@@ -129,7 +125,7 @@ def certify(
         else:
             match = match_multisets(computed, targets)
             scale = max(1.0, max(scalar_abs(t) for t in targets))
-            tol = SPECTRUM_REL_TOL * scale if spectrum_tol is None else spectrum_tol
+            tol = SPECTRUM_REL_TOL * scale
             spectrum_residual = match.max_distance
             checks["spectrum"] = spectrum_residual <= tol
             thresholds["spectrum"] = tol
@@ -148,11 +144,10 @@ def certify(
                 ok = all(B[i, i] == gs[i] for i in range(B.n))
                 thresholds["diagonal"] = 0.0
             else:
-                tol = DIAG_FLOAT_TOL if diag_tol is None else diag_tol
-                ok = diag_residual <= tol * max(
+                ok = diag_residual <= DIAG_FLOAT_TOL * max(
                     1.0, max(scalar_abs(g) for g in gs) if gs else 1.0
                 )
-                thresholds["diagonal"] = tol
+                thresholds["diagonal"] = DIAG_FLOAT_TOL
             checks["diagonal"] = bool(ok)
 
     if nonneg:
@@ -168,8 +163,8 @@ def certify(
             checks["nonneg"] = worst_re >= 0 and worst_im == 0.0
             thresholds["nonneg"] = 0.0
         else:
-            checks["nonneg"] = min_entry >= -nonneg_slack and worst_im <= nonneg_slack
-            thresholds["nonneg"] = nonneg_slack
+            checks["nonneg"] = min_entry >= -NONNEG_SLACK and worst_im <= NONNEG_SLACK
+            thresholds["nonneg"] = NONNEG_SLACK
 
     if constant_row_sums:
         sums = row_sums(B)
@@ -182,11 +177,10 @@ def certify(
         else:
             mean = sum(to_float(re_part(s)) for s in sums) / len(sums)
             row_sum_deviation = max(abs(complex(to_float(s)) - mean) for s in sums)
-            tol = ROW_SUM_REL_TOL if cs_tol is None else cs_tol
-            checks["constant_row_sums"] = row_sum_deviation <= tol * max(
+            checks["constant_row_sums"] = row_sum_deviation <= ROW_SUM_REL_TOL * max(
                 1.0, abs(mean)
             )
-            thresholds["constant_row_sums"] = tol
+            thresholds["constant_row_sums"] = ROW_SUM_REL_TOL
 
     return RealizationCertificate(
         checks=checks,

@@ -27,7 +27,7 @@ from .certify import certify
 from .errors import CertificationError, ConvergenceError, FeasibilityError
 from .matrix import DenseMatrix
 from .nonneg import Spectrum, classify, realize_mixed
-from .scalars import ComplexRational, exact_complex, is_exact, is_real, to_float
+from .scalars import ComplexRational, exact_complex, to_float
 from .similarity import similar_with_diagonal
 
 
@@ -235,12 +235,8 @@ def cmd_realize(args) -> int:
         raise ProblemError("nonnegative mode takes 'spectrum', not 'matrix'")
     values = _require_spectrum(doc, args.exact)
     order = _setting(args, doc, "order", "auto")
-    seed = _setting(args, doc, "seed", None)
     # realize_mixed certifies its output and raises if it fails
-    B, plan = realize_mixed(
-        values, gammas, order=order, seed=None if seed is None else int(seed),
-        tol=tol,
-    )
+    B, plan = realize_mixed(values, gammas, order=order, tol=tol)
     exact_out = bool(args.exact)
     write_output(
         {
@@ -341,8 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="build a matrix with the prescribed diagonal")
     realize.add_argument("--order", choices=("keep", "auto"), default=None,
                          help="diagonal assignment policy (default auto)")
-    realize.add_argument("--seed", type=int, default=None,
-                         help="accepted for compatibility; has no effect")
     realize.set_defaults(fn=cmd_realize)
 
     sub.add_parser("similar", parents=[common],

@@ -39,8 +39,13 @@ from .scalars import scalar_abs, to_float
 
 _EPS = float(np.finfo(float).eps)
 
-# Iteration cap per inverse-iteration call.
+# Iteration caps per inverse-iteration call and per Durand-Kerner run.
 INVERSE_ITERATION_CAP = 50
+DK_ITERATION_CAP = 500
+DK_STEP_TOL = 1e-12  # relative step at which Durand-Kerner has converged
+REAL_AXIS_TOL = 1e-10  # relative |Im| that eigenvalues() flattens to real
+ZERO_ENTRY_TOL = 1e-8  # entry / max-norm at or below which an entry is zero
+EIGENPAIR_TOL = 1e-9  # residual of all_nonzero_eigenvector's eigenpairs
 
 
 @dataclass(frozen=True)
@@ -123,7 +128,7 @@ def _symmetrize_conjugates(values: Sequence[complex], scale: float, tol: float):
     return out, adjust
 
 
-def eigenvalues(A: DenseMatrix, tol: float = 1e-10) -> SpectrumEstimate:
+def eigenvalues(A: DenseMatrix) -> SpectrumEstimate:
     """All eigenvalues of A with a residual.
 
     Real exact-backend input goes through the exact characteristic
@@ -139,7 +144,7 @@ def eigenvalues(A: DenseMatrix, tol: float = 1e-10) -> SpectrumEstimate:
     if A.exact and A.n >= 2 and A.is_real():
         vals = _exact_char_roots(char_poly(A))
         scale = max(1.0, to_float(A.max_abs()))
-        vals, adjust = _symmetrize_conjugates(vals, scale, tol)
+        vals, adjust = _symmetrize_conjugates(vals, scale, REAL_AXIS_TOL)
         return SpectrumEstimate(tuple(sorted(vals, key=_sort_key)), adjust)
     M = A.to_numpy()
     try:
@@ -149,7 +154,7 @@ def eigenvalues(A: DenseMatrix, tol: float = 1e-10) -> SpectrumEstimate:
     residual = 0.0
     if A.is_real():
         scale = max(1.0, float(np.max(np.abs(M))))
-        vals, residual = _symmetrize_conjugates(vals, scale, tol)
+        vals, residual = _symmetrize_conjugates(vals, scale, REAL_AXIS_TOL)
     return SpectrumEstimate(tuple(sorted(vals, key=_sort_key)), residual)
 
 
@@ -329,7 +334,7 @@ def _residues(scaled_rows, prime: int) -> list:
     return out
 
 
-def poly_roots(coeffs: Sequence, tol: float = 1e-12, max_iter: int = 500) -> list:
+def poly_roots(coeffs: Sequence) -> list:
     """All roots of a polynomial by Durand-Kerner simultaneous iteration.
 
     ``coeffs`` are highest-degree first; the polynomial is normalized to
@@ -348,8 +353,8 @@ def poly_roots(coeffs: Sequence, tol: float = 1e-12, max_iter: int = 500) -> lis
     if deg == 1:
         return [-cs[1]]
     radius = 1.0 + max(abs(c) for c in cs[1:])
-    seed = 0.4 + 0.9j
-    z = [radius * seed**k for k in range(deg)]
+    start = 0.4 + 0.9j
+    z = [radius * start**k for k in range(deg)]
 
     def horner(x: complex) -> complex:
         acc = cs[0]
@@ -359,7 +364,7 @@ def poly_roots(coeffs: Sequence, tol: float = 1e-12, max_iter: int = 500) -> lis
 
     best = float("inf")
     stall = 0
-    for _ in range(max_iter):
+    for _ in range(DK_ITERATION_CAP):
         max_step = 0.0
         for k in range(deg):
             denom = 1.0 + 0.0j
@@ -373,7 +378,7 @@ def poly_roots(coeffs: Sequence, tol: float = 1e-12, max_iter: int = 500) -> lis
             dz = horner(z[k]) / denom
             z[k] -= dz
             max_step = max(max_step, abs(dz) / max(1.0, abs(z[k])))
-        if max_step <= tol:
+        if max_step <= DK_STEP_TOL:
             return z
         if max_step < 0.7 * best:
             best = max_step
@@ -386,7 +391,7 @@ def poly_roots(coeffs: Sequence, tol: float = 1e-12, max_iter: int = 500) -> lis
             if stall >= 25 and max_step <= 1e-3:
                 return z
     raise ConvergenceError(
-        f"Durand-Kerner did not converge within {max_iter} iterations",
+        f"Durand-Kerner did not converge within {DK_ITERATION_CAP} iterations",
         partial=z,
     )
 
@@ -501,13 +506,13 @@ def _exact_char_roots(coeffs: Sequence) -> list:
     return out
 
 
-def eigenvalues_charpoly(A: DenseMatrix, tol: float = 1e-12) -> SpectrumEstimate:
+def eigenvalues_charpoly(A: DenseMatrix) -> SpectrumEstimate:
     """Eigenvalues via the characteristic polynomial route.
 
     Independent of the LAPACK path; intended as a cross-check oracle for
     moderate sizes (roughly n <= 8, where root conditioning is benign).
     """
-    roots = poly_roots(char_poly(A), tol=tol)
+    roots = poly_roots(char_poly(A))
     scale = max(1.0, A.max_abs())
     residual = 0.0
     if A.is_real():
@@ -587,16 +592,13 @@ def _finish_vector(M: np.ndarray, x: np.ndarray, lam: complex, normalize: str):
 
 
 def right_eigenvector(
-    A: DenseMatrix,
-    lam,
-    tol: float = 1e-9,
-    avoid: Sequence[Sequence] = (),
-    normalize: str = "max",
+    A: DenseMatrix, lam, tol: float = 1e-9, avoid: Sequence[Sequence] = ()
 ) -> EigenPair:
-    """One right eigenvector for ``lam`` by inverse iteration.
+    """One right eigenvector for ``lam`` by inverse iteration, with unit
+    max-norm; each iterate has the vectors in ``avoid`` projected out.
 
-    For a constant-row-sum matrix with lam equal to the common row sum,
-    the exact all-ones vector is returned directly.
+    For a constant-row-sum matrix with lam equal to the common row sum
+    (and nothing to avoid), the exact all-ones vector is returned directly.
     """
     lamf = complex(to_float(lam))
     scale = max(1.0, A.max_abs())
@@ -606,54 +608,47 @@ def right_eigenvector(
             one = Fraction(1) if A.exact else 1.0
             vec = (one,) * A.n
             residual = float(abs(complex(to_float(alpha)) - lamf))
-            if normalize == "sum1":
-                vec = tuple(v / A.n for v in vec)
             return EigenPair(lam, vec, "right", residual)
     M = A.to_numpy().astype(complex)
     avoid_np = [np.array([complex(to_float(v)) for v in w]) for w in avoid]
     x, _ = _inverse_iteration(M, lamf, tol, avoid_np)
-    vec, residual = _finish_vector(M, x, lamf, normalize)
+    vec, residual = _finish_vector(M, x, lamf, "max")
     return EigenPair(lam, vec, "right", residual)
 
 
 def left_eigenvector(
-    A: DenseMatrix,
-    lam,
-    tol: float = 1e-9,
-    avoid: Sequence[Sequence] = (),
-    normalize: str = "max",
+    A: DenseMatrix, lam, tol: float = 1e-9, normalize: str = "max"
 ) -> EigenPair:
-    """One left eigenvector (t^T A = lam t^T) by inverse iteration on A^T."""
+    """One left eigenvector (t^T A = lam t^T) by inverse iteration on A^T,
+    with unit max-norm (``normalize="max"``) or entry sum 1 ("sum1")."""
     lamf = complex(to_float(lam))
     M = A.transpose().to_numpy().astype(complex)
-    avoid_np = [np.array([complex(to_float(v)) for v in w]) for w in avoid]
-    x, _ = _inverse_iteration(M, lamf, tol, avoid_np)
+    x, _ = _inverse_iteration(M, lamf, tol, [])
     vec, residual = _finish_vector(M, x, lamf, normalize)
     return EigenPair(lam, vec, "left", residual)
 
 
-def all_nonzero_eigenvector(
-    A: DenseMatrix, zero_tol: float = 1e-8, tol: float = 1e-9
-) -> Optional[EigenPair]:
+def all_nonzero_eigenvector(A: DenseMatrix) -> Optional[EigenPair]:
     """Scan eigenvalues (largest modulus first) for an eigenvector with no
     zero entries.
 
-    An entry counts as nonzero when its modulus exceeds ``zero_tol`` times
-    the vector's max-norm.  Returns None when every eigenvalue is
+    An entry counts as nonzero when its modulus exceeds ZERO_ENTRY_TOL
+    times the vector's max-norm.  Returns None when every eigenvalue is
     exhausted; raises for a scalar matrix (every vector is an eigenvector
     and the search is meaningless).
     """
     scale = max(1.0, A.max_abs())
     if A.is_scalar_matrix(tol=1e-12 * scale):
         raise ValueError("scalar matrix: eigenvector search is degenerate")
-    return _nonzero_eigenvector(A, eigenvalues(A), zero_tol, tol)
+    return _nonzero_eigenvector(A, eigenvalues(A), EIGENPAIR_TOL)
 
 
 def _nonzero_eigenvector(
-    A: DenseMatrix, est: SpectrumEstimate, zero_tol: float, tol: float
+    A: DenseMatrix, est: SpectrumEstimate, tol: float
 ) -> Optional[EigenPair]:
     """The search of :func:`all_nonzero_eigenvector` over a spectrum
-    ``est`` of A that the caller has already computed."""
+    ``est`` of A (or of a matrix similar to A) that the caller has
+    already computed, with eigenpairs accepted at residual ``tol``."""
     scale = max(1.0, A.max_abs())
     groups: list[list[complex]] = []
     for lam in est.values:
@@ -670,7 +665,7 @@ def _nonzero_eigenvector(
                 break
             found.append(pair.vector)
             mags = [scalar_abs(v) for v in pair.vector]
-            if min(mags) > zero_tol * max(mags):
+            if min(mags) > ZERO_ENTRY_TOL * max(mags):
                 return pair
     return None
 

@@ -13,7 +13,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .scalars import (
-    ComplexRational,
     coerce_scalars,
     is_real,
     re_part,
@@ -89,11 +88,6 @@ class DenseMatrix:
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, n: int, exact: bool = True) -> "DenseMatrix":
-        zero = Fraction(0) if exact else 0.0
-        return cls([[zero] * n for _ in range(n)])
-
-    @classmethod
     def diagonal_matrix(cls, entries: Sequence) -> "DenseMatrix":
         d = normalize_vector(entries)
         zero = Fraction(0) if scalar_family(d) != "float" else 0.0
@@ -105,12 +99,6 @@ class DenseMatrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.rows[i]
-
-    def column(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.rows)
 
     def diagonal(self) -> tuple:
         return tuple(self.rows[i][i] for i in range(self.n))
@@ -267,11 +255,16 @@ def rank_one_add(A: DenseMatrix, v: Sequence, q: Sequence) -> DenseMatrix:
     )
 
 
-def diag_similarity(A: DenseMatrix, d: Sequence, zero_tol: float = 1e-10) -> DenseMatrix:
+# on the float backend a scale entry at or below this fraction of the
+# largest one counts as zero
+SCALE_ZERO_TOL = 1e-10
+
+
+def diag_similarity(A: DenseMatrix, d: Sequence) -> DenseMatrix:
     """Return D^{-1} A D for D = diag(d).
 
     Entries of d must be nonzero; on the float backend, |d_i| must exceed
-    zero_tol * max|d_i|.  The diagonal of A is preserved entry for entry
+    SCALE_ZERO_TOL * max|d_i|.  The diagonal of A is preserved entry for entry
     (the i==i ratio is taken as exactly one).
     """
     fam = "exact" if A.exact else "float"
@@ -283,7 +276,7 @@ def diag_similarity(A: DenseMatrix, d: Sequence, zero_tol: float = 1e-10) -> Den
             raise ValueError("zero scale entry in diagonal similarity")
     else:
         dmax = max(scalar_abs(x) for x in dd)
-        if dmax == 0.0 or any(scalar_abs(x) <= zero_tol * dmax for x in dd):
+        if dmax == 0.0 or any(scalar_abs(x) <= SCALE_ZERO_TOL * dmax for x in dd):
             raise ValueError("near-zero scale entry in diagonal similarity")
     out = []
     for i in range(A.n):

@@ -670,8 +670,6 @@ def _chain(lam1, pairs, gammas, tol: float, level: int = 0):
     m = len(pairs)
     if len(gammas) != 2 * m + 1:
         raise ValueError("diagonal length must be 2 * pairs + 1")
-    exact = is_exact(lam1) and all(is_exact(g) for g in gammas)
-    scale = max(1.0, to_float(scalar_abs(lam1)))
     if m == 1:
         try:
             return construct_3x3(lam1, pairs[0], gammas, tol=tol), (), ()
@@ -681,18 +679,7 @@ def _chain(lam1, pairs, gammas, tol: float, level: int = 0):
     for z in pairs[:-1]:
         head = head + 2 * re_part(z)
     c = head - sum(gammas[:-3])
-    if c < 0:
-        raise FeasibilityError(
-            f"bridge value {to_float(c)} is negative",
-            level=level,
-            condition="bridge-negative",
-        )
-    if c * c < abs2(pairs[-1]) - (0 if exact else tol * scale * scale):
-        raise FeasibilityError(
-            f"bridge value {to_float(c)} does not dominate its pair",
-            level=level,
-            condition="bridge-dominance",
-        )
+    # construct_3x3 checks that c is nonnegative and dominates its pair
     try:
         block = construct_3x3(c, pairs[-1], gammas[-3:], tol=tol)
     except FeasibilityError as exc:
@@ -789,7 +776,6 @@ def realize_mixed(
     spectrum,
     gammas,
     order: str = "auto",
-    seed: Optional[int] = None,
     tol: float = 1e-9,
 ):
     """Nonnegative realization with prescribed spectrum and diagonal.
@@ -804,8 +790,7 @@ def realize_mixed(
     the largest entries to the F block first and retries the caller's
     order.  The output diagonal always matches ``gammas`` in the
     caller's order; the plan records the internal assignment and the
-    permutation that restored it.  ``seed`` is accepted and has no
-    effect.
+    permutation that restored it.
 
     On exact input every order succeeds, so the first attempt is the
     only one.  The bridge into the chain is c = (the diagonal entries
@@ -909,19 +894,13 @@ def _attempt(spec, cls, target, sigma, head_vals, chain_pairs, tol):
     for v in head_vals[1:]:
         sum_head = sum_head + re_part(v)
     c = sum_head - sum(g_head)
-    exact = spec.exact and target.exact
+    # a negative c would be rejected as a diagonal entry of the head
+    # block; each chain block checks that its bridge dominates its pair
     if c < 0:
         raise FeasibilityError(
             f"bridge value {to_float(c)} is negative",
             level=0,
             condition="bridge-negative",
-        )
-    worst = max(abs2(z) for z in chain_pairs)
-    if c * c < worst - (0 if exact else tol * spec.scale() ** 2):
-        raise FeasibilityError(
-            f"bridge value {to_float(c)} does not dominate the chain",
-            level=0,
-            condition="bridge-dominance",
         )
     head_spec = Spectrum(head_vals, tol=tol)
     A1 = realize_suleimanova(head_spec, tuple(g_head) + (c,), tol=tol)

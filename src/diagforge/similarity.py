@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .certify import SPECTRUM_REL_TOL
 from .errors import CertificationError, FeasibilityError
 from .matrix import (
     DenseMatrix,
@@ -25,7 +26,8 @@ from .matrix import (
 from .scalars import is_exact, is_real, re_part, scalar_abs, to_float
 
 TRACE_MATCH_TOL = 1e-10
-SPECTRUM_CERT_TOL = 1e-7
+# relative eigenpair residual above which brauer_shift rejects the pair
+SHIFT_RESIDUAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -191,9 +193,7 @@ def embed_anchor(A: DenseMatrix, anchor: int = 0) -> DenseMatrix:
     return DenseMatrix._trusted(rows, A.exact)
 
 
-def brauer_shift(
-    A: DenseMatrix, pair, q, residual_tol: float = 1e-6
-) -> DenseMatrix:
+def brauer_shift(A: DenseMatrix, pair, q) -> DenseMatrix:
     """Move one eigenvalue of A by adding v q^T for an eigenvector v.
 
     ``pair`` is an EigenPair (or any object with ``value`` and ``vector``)
@@ -212,7 +212,7 @@ def brauer_shift(
     lamf = complex(to_float(lam))
     scale = max(1.0, A.max_abs(), float(np.max(np.abs(vf))))
     residual = float(np.max(np.abs(Af @ vf - lamf * vf)))
-    if residual > residual_tol * scale:
+    if residual > SHIFT_RESIDUAL_TOL * scale:
         raise ValueError(
             f"eigenpair residual {residual:.3e} too large for a reliable shift"
         )
@@ -233,10 +233,7 @@ def brauer_shift(
 
 
 def similar_with_diagonal(
-    A: DenseMatrix,
-    gammas,
-    tol: float = 1e-9,
-    zero_tol: float = 1e-8,
+    A: DenseMatrix, gammas, tol: float = 1e-9
 ) -> tuple[DenseMatrix, SimilarityTrace]:
     """Build B similar to A with prescribed diagonal entries.
 
@@ -255,8 +252,9 @@ def similar_with_diagonal(
     diagonal is checked for equality, and the spectrum by char-poly
     identity for an exact B or by matching B's float spectrum to that
     of A for a float B.  On the float route the spectrum of A (converted
-    to floats) is computed once and serves both the eigenvector search
-    and the certification.
+    to floats) is computed once and serves the eigenvector search, in A
+    and in every anchor embedding (each is similar to A), and the
+    certification.
     """
     target = as_diagonal_target(gammas)
     n = A.n
@@ -300,7 +298,7 @@ def similar_with_diagonal(
         return _certified(A, B, target, steps)
 
     # float route
-    from .eigen import _nonzero_eigenvector, all_nonzero_eigenvector, eigenvalues
+    from .eigen import _nonzero_eigenvector, eigenvalues
 
     Af = A.to_float()
     spec_a = eigenvalues(Af)
@@ -309,12 +307,12 @@ def similar_with_diagonal(
         steps.append(TraceStep("to_float"))
     M = Af
     if is_constant_row_sum(Af, tol=tol) is None:
-        pair = _nonzero_eigenvector(Af, spec_a, zero_tol, tol)
+        pair = _nonzero_eigenvector(Af, spec_a, tol)
         anchor_used: Optional[int] = None
         if pair is None:
             for i in range(n):
                 Mi = embed_anchor(Af, i)
-                pair = all_nonzero_eigenvector(Mi, zero_tol=zero_tol, tol=tol)
+                pair = _nonzero_eigenvector(Mi, spec_a, tol)
                 if pair is not None:
                     anchor_used = i
                     M = Mi
@@ -344,7 +342,7 @@ def _certified(A, B, target, steps, spec_a=None):
     :func:`~diagforge.eigen.same_char_poly`, modulo one proven prime above
     a Hadamard-type bound for rational entries, else over Q or Q(i).
     A float B must have a float spectrum within
-    SPECTRUM_CERT_TOL (relative to the largest modulus in ``spec_a``) of
+    SPECTRUM_REL_TOL (relative to the largest modulus in ``spec_a``) of
     ``spec_a``, the float spectrum of A computed by the caller.  A
     non-finite spectrum never matches.
     """
@@ -358,7 +356,7 @@ def _certified(A, B, target, steps, spec_a=None):
     else:
         lam_scale = max(1.0, max(abs(v) for v in spec_a.values))
         m = match_multisets(eigenvalues(B).values, spec_a.values)
-        spectrum_ok = m.max_distance <= SPECTRUM_CERT_TOL * lam_scale
+        spectrum_ok = m.max_distance <= SPECTRUM_REL_TOL * lam_scale
         detail = f"spectrum distance: {m.max_distance:.3e}"
     if not (diag_ok and spectrum_ok):
         raise CertificationError(

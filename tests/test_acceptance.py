@@ -203,7 +203,7 @@ def test_criterion_6_wide_wedge_and_mixed_property_suite():
         else:
             gammas = tuple(total * F(w, sum(weights)) for w in weights)
         try:
-            B, plan = realize_mixed(vals, gammas, order="auto", seed=1)
+            B, plan = realize_mixed(vals, gammas, order="auto")
         except FeasibilityError as exc:
             assert exc.condition, "infeasibility must name the violated condition"
             infeasible.append(exc.condition)

@@ -115,6 +115,19 @@ class TestRealizeNonnegative:
         assert doc["diagonal"] == [0, 1, 0, 1]
         assert [doc["matrix"][i][i] for i in range(4)] == [0, 1, 0, 1]
 
+    def test_seed_flag_is_rejected(self, tmp_path):
+        inp = tmp_path / "problem.json"
+        inp.write_text(json.dumps(self.PROBLEM))
+        with pytest.raises(SystemExit) as exc:
+            main(["realize", "--input", str(inp), "--seed", "3"])
+        assert exc.value.code == 2
+
+    def test_seed_key_is_ignored_like_any_unknown_key(self, tmp_path):
+        _, _, plain = run(tmp_path, self.PROBLEM, "realize", "--exact")
+        code, _, seeded = run(tmp_path, {**self.PROBLEM, "seed": 3}, "realize", "--exact")
+        assert code == 0
+        assert seeded == plain
+
 
 class TestRealizeGeneral:
     def test_diagonal_matrix_correction(self, tmp_path):

@@ -216,6 +216,23 @@ class TestCertification:
         assert len(spectra) == 2
         assert all(cmath.isfinite(z) for est in spectra for z in est.values)
 
+    def test_anchor_search_reuses_the_spectrum_of_a(self, monkeypatch):
+        spectra = []
+        real_eigenvalues = diagforge.eigen.eigenvalues
+
+        def counted(A):
+            spectra.append(A)
+            return real_eigenvalues(A)
+
+        monkeypatch.setattr(diagforge.eigen, "eigenvalues", counted)
+        a = DenseMatrix.diagonal_matrix([1.0, 2.0, 3.0])
+        b, trace = similar_with_diagonal(a, (2.0, 2.0, 2.0))
+        assert b.diagonal() == (2.0, 2.0, 2.0)
+        assert [s.op for s in trace] == ["embed", "scale", "rank_one"]
+        # once for A, whose spectrum also serves the anchor embedding (a
+        # matrix similar to A), and once for B
+        assert len(spectra) == 2
+
     def test_tampered_float_output_is_rejected(self):
         a = DenseMatrix([[4, 1, 0, 2], [2, -1, 3, 1], [0, 5, 2, 2], [1, 1, 1, 3]])
         target = DiagonalTarget((5, 1, 0, 2))
