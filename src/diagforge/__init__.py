@@ -20,10 +20,8 @@ from .eigen import (
     all_nonzero_eigenvector,
     char_poly,
     eigenvalues,
-    eigenvalues_charpoly,
     left_eigenvector,
     match_multisets,
-    poly_roots,
     right_eigenvector,
 )
 from .similarity import (
@@ -82,7 +80,6 @@ __all__ = [
     "construct_3x3",
     "diag_similarity",
     "eigenvalues",
-    "eigenvalues_charpoly",
     "embed_anchor",
     "exact_complex",
     "exact_nullspace",
@@ -91,7 +88,6 @@ __all__ = [
     "match_multisets",
     "perfect_feasible",
     "permute_similarity",
-    "poly_roots",
     "rank_one_add",
     "realize_mixed",
     "realize_smigoc",

@@ -12,10 +12,7 @@ into exact conjugates.  Float spectra of real exact-backend matrices,
 which tests and checks against float targets use, come from the exact
 characteristic polynomial split into square-free factors, each solved
 by ``numpy.roots``, so the solver only ever sees simple roots and a
-multiple eigenvalue costs no accuracy.  A
-second, independent route solves the characteristic polynomial with
-Durand-Kerner simultaneous iteration; the routes cross-check each other
-in the test suite.
+multiple eigenvalue costs no accuracy.
 
 Eigenvectors come from inverse iteration, and are real for a real
 eigenvalue of a real matrix.  For a constant-row-sum matrix
@@ -39,13 +36,9 @@ from .scalars import scalar_abs, to_float
 
 _EPS = float(np.finfo(float).eps)
 
-# Iteration caps per inverse-iteration call and per Durand-Kerner run.
-INVERSE_ITERATION_CAP = 50
-DK_ITERATION_CAP = 500
-DK_STEP_TOL = 1e-12  # relative step at which Durand-Kerner has converged
+INVERSE_ITERATION_CAP = 50  # iteration cap per inverse-iteration call
 REAL_AXIS_TOL = 1e-10  # relative |Im| that eigenvalues() flattens to real
 ZERO_ENTRY_TOL = 1e-8  # entry / max-norm at or below which an entry is zero
-EIGENPAIR_TOL = 1e-9  # residual of all_nonzero_eigenvector's eigenpairs
 
 
 @dataclass(frozen=True)
@@ -159,7 +152,7 @@ def eigenvalues(A: DenseMatrix) -> SpectrumEstimate:
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomial and the Durand-Kerner cross-check
+# characteristic polynomial
 # ---------------------------------------------------------------------------
 
 
@@ -169,22 +162,11 @@ def char_poly(A: DenseMatrix) -> list:
     Exact backend: reduction to upper Hessenberg form by elementary
     similarities followed by the Hessenberg recurrence, O(n^3) field
     operations over Q or Q(i); every coefficient is a ``Fraction`` or a
-    ``ComplexRational``.  Float backend: Faddeev-LeVerrier recurrence in
-    floating point, an independent route for the cross-check in
-    :func:`eigenvalues_charpoly`.
+    ``ComplexRational``.  A float matrix raises ``TypeError``.
     """
-    if A.exact:
-        return _hessenberg_char_poly(A.rows)
-    n = A.n
-    coeffs = [1.0]
-    M = DenseMatrix.identity(n, exact=False)
-    for k in range(1, n + 1):
-        AM = A @ M
-        ck = -AM.trace() / float(k)
-        coeffs.append(ck)
-        if k < n:
-            M = AM + DenseMatrix.identity(n, exact=False).scale(ck)
-    return coeffs
+    if not A.exact:
+        raise TypeError("char_poly needs an exact matrix")
+    return _hessenberg_char_poly(A.rows)
 
 
 def _hessenberg_char_poly(
@@ -334,68 +316,6 @@ def _residues(scaled_rows, prime: int) -> list:
     return out
 
 
-def poly_roots(coeffs: Sequence) -> list:
-    """All roots of a polynomial by Durand-Kerner simultaneous iteration.
-
-    ``coeffs`` are highest-degree first; the polynomial is normalized to
-    monic internally.  Deterministic scaled roots-of-unity style starts.
-    """
-    cs = [complex(to_float(c)) for c in coeffs]
-    while cs and cs[0] == 0:
-        cs.pop(0)
-    if not cs:
-        raise ValueError("zero polynomial")
-    lead = cs[0]
-    cs = [c / lead for c in cs]
-    deg = len(cs) - 1
-    if deg == 0:
-        return []
-    if deg == 1:
-        return [-cs[1]]
-    radius = 1.0 + max(abs(c) for c in cs[1:])
-    start = 0.4 + 0.9j
-    z = [radius * start**k for k in range(deg)]
-
-    def horner(x: complex) -> complex:
-        acc = cs[0]
-        for c in cs[1:]:
-            acc = acc * x + c
-        return acc
-
-    best = float("inf")
-    stall = 0
-    for _ in range(DK_ITERATION_CAP):
-        max_step = 0.0
-        for k in range(deg):
-            denom = 1.0 + 0.0j
-            for j in range(deg):
-                if j != k:
-                    denom *= z[k] - z[j]
-            if denom == 0:
-                z[k] += (1e-6 + 1e-6j) * (1.0 + abs(z[k]))
-                max_step = 1.0
-                continue
-            dz = horner(z[k]) / denom
-            z[k] -= dz
-            max_step = max(max_step, abs(dz) / max(1.0, abs(z[k])))
-        if max_step <= DK_STEP_TOL:
-            return z
-        if max_step < 0.7 * best:
-            best = max_step
-            stall = 0
-        else:
-            stall += 1
-            # a root cluster (multiple root) plateaus at its attainable
-            # accuracy; once small steps stop shrinking, more sweeps only
-            # rotate the cluster members around the true value
-            if stall >= 25 and max_step <= 1e-3:
-                return z
-    raise ConvergenceError(
-        f"Durand-Kerner did not converge within {DK_ITERATION_CAP} iterations",
-        partial=z,
-    )
-
-
 # ---------------------------------------------------------------------------
 # exact polynomial algebra (square-free factorization for the exact route)
 # ---------------------------------------------------------------------------
@@ -506,20 +426,6 @@ def _exact_char_roots(coeffs: Sequence) -> list:
     return out
 
 
-def eigenvalues_charpoly(A: DenseMatrix) -> SpectrumEstimate:
-    """Eigenvalues via the characteristic polynomial route.
-
-    Independent of the LAPACK path; intended as a cross-check oracle for
-    moderate sizes (roughly n <= 8, where root conditioning is benign).
-    """
-    roots = poly_roots(char_poly(A))
-    scale = max(1.0, A.max_abs())
-    residual = 0.0
-    if A.is_real():
-        roots, residual = _symmetrize_conjugates(roots, scale, tol=1e-8)
-    return SpectrumEstimate(tuple(sorted(roots, key=_sort_key)), residual)
-
-
 # ---------------------------------------------------------------------------
 # eigenvectors
 # ---------------------------------------------------------------------------
@@ -560,9 +466,8 @@ def _inverse_iteration(M: np.ndarray, lam: complex, tol: float, avoid: list):
             x = x / np.linalg.norm(x)
             continue
         x = y / ynorm
-        residual = float(np.max(np.abs(M @ x - lam * x)))
-        if residual <= tol * scale:
-            return x, residual
+        if float(np.max(np.abs(M @ x - lam * x))) <= tol * scale:
+            return x
     raise ConvergenceError(
         f"inverse iteration stalled at eigenvalue {lam} "
         f"(defective direction or bad shift)"
@@ -611,7 +516,7 @@ def right_eigenvector(
             return EigenPair(lam, vec, "right", residual)
     M = A.to_numpy().astype(complex)
     avoid_np = [np.array([complex(to_float(v)) for v in w]) for w in avoid]
-    x, _ = _inverse_iteration(M, lamf, tol, avoid_np)
+    x = _inverse_iteration(M, lamf, tol, avoid_np)
     vec, residual = _finish_vector(M, x, lamf, "max")
     return EigenPair(lam, vec, "right", residual)
 
@@ -623,32 +528,25 @@ def left_eigenvector(
     with unit max-norm (``normalize="max"``) or entry sum 1 ("sum1")."""
     lamf = complex(to_float(lam))
     M = A.transpose().to_numpy().astype(complex)
-    x, _ = _inverse_iteration(M, lamf, tol, [])
+    x = _inverse_iteration(M, lamf, tol, [])
     vec, residual = _finish_vector(M, x, lamf, normalize)
     return EigenPair(lam, vec, "left", residual)
 
 
-def all_nonzero_eigenvector(A: DenseMatrix) -> Optional[EigenPair]:
+def all_nonzero_eigenvector(
+    A: DenseMatrix, est: SpectrumEstimate, tol: float
+) -> Optional[EigenPair]:
     """Scan eigenvalues (largest modulus first) for an eigenvector with no
     zero entries.
 
-    An entry counts as nonzero when its modulus exceeds ZERO_ENTRY_TOL
-    times the vector's max-norm.  Returns None when every eigenvalue is
-    exhausted; raises for a scalar matrix (every vector is an eigenvector
-    and the search is meaningless).
+    ``est`` is a spectrum of A, or of a matrix similar to A, that the
+    caller has already computed.  Eigenvalues within 1e-7 max(1, |A|_max)
+    of each other form one group, which yields up to as many independent
+    eigenvectors as it has members.  Eigenpairs are accepted at residual
+    ``tol``; an entry counts as nonzero when its modulus exceeds
+    ZERO_ENTRY_TOL times the vector's max-norm.  Returns None when every
+    eigenvalue is exhausted.
     """
-    scale = max(1.0, A.max_abs())
-    if A.is_scalar_matrix(tol=1e-12 * scale):
-        raise ValueError("scalar matrix: eigenvector search is degenerate")
-    return _nonzero_eigenvector(A, eigenvalues(A), EIGENPAIR_TOL)
-
-
-def _nonzero_eigenvector(
-    A: DenseMatrix, est: SpectrumEstimate, tol: float
-) -> Optional[EigenPair]:
-    """The search of :func:`all_nonzero_eigenvector` over a spectrum
-    ``est`` of A (or of a matrix similar to A) that the caller has
-    already computed, with eigenpairs accepted at residual ``tol``."""
     scale = max(1.0, A.max_abs())
     groups: list[list[complex]] = []
     for lam in est.values:

@@ -20,14 +20,8 @@ class FeasibilityError(Exception):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative numerical routine hit its iteration cap.
-
-    ``partial`` holds whatever values were already locked in.
-    """
-
-    def __init__(self, message, *, partial=()):
-        super().__init__(message)
-        self.partial = tuple(partial)
+    """A numerical routine did not converge: inverse iteration hit its
+    iteration cap, or LAPACK's eigenvalue solver failed."""
 
 
 class CertificationError(RuntimeError):

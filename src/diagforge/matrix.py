@@ -83,8 +83,8 @@ class DenseMatrix:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def identity(cls, n: int, exact: bool = True) -> "DenseMatrix":
-        one, zero = (Fraction(1), Fraction(0)) if exact else (1.0, 0.0)
+    def identity(cls, n: int) -> "DenseMatrix":
+        one, zero = Fraction(1), Fraction(0)
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @classmethod

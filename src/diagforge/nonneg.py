@@ -604,12 +604,14 @@ def _left_fixed_vector(A2: DenseMatrix, alpha, tol: float):
     return tuple(x.real / total for x in vec)
 
 
-def _glue(A1: DenseMatrix, A2: DenseMatrix, tol: float = 1e-9):
-    """Join A1 = [[A11, a],[b^T, c]] with A2 in CS_c; returns (C, t).
+def smigoc_glue(A1: DenseMatrix, A2: DenseMatrix, tol: float = 1e-9):
+    """Glue two blocks through a shared eigenvalue; returns (C, t).
 
-    C = [[A11, a t^T],[e b^T, A2]] where t is a left eigenvector of A2
-    for c with entry sum 1.  The spectrum of C is the spectrum of A1
-    together with the spectrum of A2 minus one copy of c.
+    A1 = [[A11, a],[b^T, c]]: A1's trailing diagonal entry c must equal
+    A2's constant row sum.  C = [[A11, a t^T],[e b^T, A2]] where t is a
+    left eigenvector of A2 for c with entry sum 1.  C has A1's spectrum
+    plus A2's spectrum with one copy of c removed, and diagonal
+    (diag A1 without c, diag A2).
     """
     n1 = A1.n
     if n1 < 2:
@@ -640,17 +642,6 @@ def _glue(A1: DenseMatrix, A2: DenseMatrix, tol: float = 1e-9):
     for k in range(n2):
         rows.append(list(b) + list(A2.rows[k]))
     return DenseMatrix(rows), t
-
-
-def smigoc_glue(A1: DenseMatrix, A2: DenseMatrix, tol: float = 1e-9) -> DenseMatrix:
-    """Glue two blocks through a shared eigenvalue.
-
-    A1's trailing diagonal entry c must equal A2's constant row sum; the
-    result has A1's spectrum plus A2's spectrum with one copy of c
-    removed, and diagonal (diag A1 without c, diag A2).
-    """
-    C, _ = _glue(A1, A2, tol=tol)
-    return C
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +678,7 @@ def _chain(lam1, pairs, gammas, tol: float, level: int = 0):
     prefix, bridges, ts = _chain(
         lam1, pairs[:-1], tuple(gammas[:-3]) + (c,), tol, level + 1
     )
-    C, t = _glue(prefix, block, tol=tol)
+    C, t = smigoc_glue(prefix, block, tol=tol)
     return C, (c,) + bridges, (t,) + ts
 
 
@@ -905,7 +896,7 @@ def _attempt(spec, cls, target, sigma, head_vals, chain_pairs, tol):
     head_spec = Spectrum(head_vals, tol=tol)
     A1 = realize_suleimanova(head_spec, tuple(g_head) + (c,), tol=tol)
     A2, bridges, ts = _chain(c, chain_pairs, g_chain, tol, level=1)
-    C, t = _glue(A1, A2, tol=tol)
+    C, t = smigoc_glue(A1, A2, tol=tol)
     return C, (c,) + bridges, (t,) + ts
 
 

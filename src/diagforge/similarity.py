@@ -298,7 +298,7 @@ def similar_with_diagonal(
         return _certified(A, B, target, steps)
 
     # float route
-    from .eigen import _nonzero_eigenvector, eigenvalues
+    from .eigen import all_nonzero_eigenvector, eigenvalues
 
     Af = A.to_float()
     spec_a = eigenvalues(Af)
@@ -307,12 +307,12 @@ def similar_with_diagonal(
         steps.append(TraceStep("to_float"))
     M = Af
     if is_constant_row_sum(Af, tol=tol) is None:
-        pair = _nonzero_eigenvector(Af, spec_a, tol)
+        pair = all_nonzero_eigenvector(Af, spec_a, tol)
         anchor_used: Optional[int] = None
         if pair is None:
             for i in range(n):
                 Mi = embed_anchor(Af, i)
-                pair = _nonzero_eigenvector(Mi, spec_a, tol)
+                pair = all_nonzero_eigenvector(Mi, spec_a, tol)
                 if pair is not None:
                     anchor_used = i
                     M = Mi

@@ -322,14 +322,14 @@ class TestGlue:
     def test_two_by_two_oracle(self):
         a1 = DenseMatrix([[1, 2], [2, 1]])  # corner 1 = row sum of a2
         a2 = DenseMatrix([[0, 1], [1, 0]])
-        c = smigoc_glue(a1, a2)
+        c, _ = smigoc_glue(a1, a2)
         assert c.to_lists() == [[1, 1, 1], [2, 0, 1], [2, 1, 0]]
         # spectra: {3,-1} and {1,-1} merge to {3,-1,-1}
         assert char_poly(c) == [1, -1, -5, -3]
 
     def test_one_by_one_is_identity(self):
         a1 = DenseMatrix([[1, 2], [2, 1]])
-        c = smigoc_glue(a1, DenseMatrix([[1]]))
+        c, _ = smigoc_glue(a1, DenseMatrix([[1]]))
         assert c.to_lists() == a1.to_lists()
 
     def test_corner_mismatch_rejected(self):
@@ -359,7 +359,7 @@ def glue_instance(draw):
 @settings(max_examples=80, deadline=None)
 def test_glue_spectrum_law(case):
     a1, a2, alpha = case
-    c = smigoc_glue(a1, a2)
+    c, _ = smigoc_glue(a1, a2)
     assert c.n == a1.n + a2.n - 1
     # char(C) * (t - alpha) = char(A1) * char(A2)
     lhs = poly_mul(char_poly(c), [Fraction(1), -alpha])

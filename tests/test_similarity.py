@@ -1,6 +1,8 @@
 import cmath
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -216,6 +218,26 @@ class TestCertification:
         assert len(spectra) == 2
         assert all(cmath.isfinite(z) for est in spectra for z in est.values)
 
+    def test_eigenvector_search_runs_through_the_traced_name(self, monkeypatch):
+        # the benchmark's tracer times the search by replacing this
+        # module attribute, as here; a search that bypasses the name
+        # reads 0 in its span
+        sizes = []
+        real_search = diagforge.eigen.all_nonzero_eigenvector
+
+        def counted(A, *args):
+            sizes.append(A.n)
+            return real_search(A, *args)
+
+        monkeypatch.setattr(diagforge.eigen, "all_nonzero_eigenvector", counted)
+        rng = random.Random(20)
+        n = 20
+        a = DenseMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+        gammas = [rng.randint(-9, 9) for _ in range(n - 1)]
+        gammas.append(a.trace() - sum(gammas))
+        similar_with_diagonal(a, tuple(gammas))
+        assert sizes == [n]
+
     def test_anchor_search_reuses_the_spectrum_of_a(self, monkeypatch):
         spectra = []
         real_eigenvalues = diagforge.eigen.eigenvalues
@@ -270,3 +292,17 @@ class TestCertification:
         scale = max(1.0, max(abs(z) for z in jordan))
         m = match_multisets(eigenvalues(b).values, jordan)
         assert m.max_distance <= 1e-7 * scale
+
+
+def test_every_tracer_patch_point_is_bound():
+    # perfbench/spans.py replaces these attributes by name; a renamed or
+    # deleted one would stop every traced benchmark run at install time
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.PATCHES
+    for module, attr, _ in spans.PATCHES:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (
+            f"{module}.{attr}"
+        )
