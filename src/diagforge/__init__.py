@@ -20,7 +20,6 @@ from .eigen import (
     all_nonzero_eigenvector,
     char_poly,
     eigenvalues,
-    left_eigenvector,
     match_multisets,
     right_eigenvector,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "exact_complex",
     "exact_nullspace",
     "is_constant_row_sum",
-    "left_eigenvector",
     "match_multisets",
     "perfect_feasible",
     "permute_similarity",

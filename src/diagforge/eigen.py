@@ -14,7 +14,7 @@ characteristic polynomial split into square-free factors, each solved
 by ``numpy.roots``, so the solver only ever sees simple roots and a
 multiple eigenvalue costs no accuracy.
 
-Eigenvectors come from inverse iteration, and are real for a real
+Right eigenvectors come from inverse iteration, and are real for a real
 eigenvalue of a real matrix.  For a constant-row-sum matrix
 and its row-sum eigenvalue the right eigenvector is returned as the exact
 all-ones vector.
@@ -58,7 +58,7 @@ class SpectrumEstimate:
 class EigenPair:
     """An eigenvalue with one eigenvector and the achieved residual.
 
-    ``side`` is "right" (A v = lam v) or "left" (t^T A = lam t^T).  The
+    ``side`` is "right" (A v = lam v), the only side computed.  The
     vector has unit max-norm unless a caller renormalizes it.
     """
 
@@ -474,7 +474,7 @@ def _inverse_iteration(M: np.ndarray, lam: complex, tol: float, avoid: list):
     )
 
 
-def _finish_vector(M: np.ndarray, x: np.ndarray, lam: complex, normalize: str):
+def _finish_vector(M: np.ndarray, x: np.ndarray, lam: complex):
     idx = int(np.argmax(np.abs(x)))
     x = x / x[idx]
     # for a real M and a real lam the real part of x (entry idx is 1) is
@@ -484,11 +484,6 @@ def _finish_vector(M: np.ndarray, x: np.ndarray, lam: complex, normalize: str):
     real_problem = lam.imag == 0 and not np.any(M.imag)
     if real_problem or np.max(np.abs(x.imag)) <= 64.0 * _EPS * float(np.max(np.abs(x))):
         x = x.real.astype(complex)
-    if normalize == "sum1":
-        s = complex(np.sum(x))
-        if abs(s) <= 1e-12 * len(x):
-            raise ValueError("eigenvector entries sum to zero; cannot normalize")
-        x = x / s
     residual = float(np.max(np.abs(M @ x - lam * x))) / max(
         1.0, float(np.max(np.abs(x)))
     )
@@ -517,20 +512,8 @@ def right_eigenvector(
     M = A.to_numpy().astype(complex)
     avoid_np = [np.array([complex(to_float(v)) for v in w]) for w in avoid]
     x = _inverse_iteration(M, lamf, tol, avoid_np)
-    vec, residual = _finish_vector(M, x, lamf, "max")
+    vec, residual = _finish_vector(M, x, lamf)
     return EigenPair(lam, vec, "right", residual)
-
-
-def left_eigenvector(
-    A: DenseMatrix, lam, tol: float = 1e-9, normalize: str = "max"
-) -> EigenPair:
-    """One left eigenvector (t^T A = lam t^T) by inverse iteration on A^T,
-    with unit max-norm (``normalize="max"``) or entry sum 1 ("sum1")."""
-    lamf = complex(to_float(lam))
-    M = A.transpose().to_numpy().astype(complex)
-    x = _inverse_iteration(M, lamf, tol, [])
-    vec, residual = _finish_vector(M, x, lamf, normalize)
-    return EigenPair(lam, vec, "left", residual)
 
 
 def all_nonzero_eigenvector(

@@ -479,11 +479,15 @@ def construct_3x3(lam1, pair, gammas, tol: float = 1e-9) -> DenseMatrix:
     the diagonal is checked first and reported per condition.
     """
     vals = normalize_vector((lam1, pair))
-    lam1, z = vals
     target = _nonneg_target(gammas)
     if target.n != 3:
         raise ValueError("exactly three diagonal entries required")
     exact = all(is_exact(v) for v in vals) and target.exact
+    g1, g2, g3 = target.gammas
+    if not exact:
+        vals = tuple(to_float(v) for v in vals)
+        g1, g2, g3 = to_float(g1), to_float(g2), to_float(g3)
+    lam1, z = vals
     if not is_real(lam1):
         raise ValueError("lam1 must be real")
     lam1 = re_part(lam1)
@@ -507,7 +511,6 @@ def construct_3x3(lam1, pair, gammas, tol: float = 1e-9) -> DenseMatrix:
             "dominant eigenvalue does not dominate the pair modulus",
             condition="perron-dominance",
         )
-    g1, g2, g3 = target.gammas
     trace_gap = (g1 + g2 + g3) - (lam1 + 2 * x)
     if (trace_gap != 0) if exact else abs(to_float(trace_gap)) > max(tol, 1e-10) * scale:
         raise ValueError("trace mismatch: sum(gammas) != lam1 + 2*Re(pair)")
@@ -567,58 +570,27 @@ def construct_3x3(lam1, pair, gammas, tol: float = 1e-9) -> DenseMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _left_fixed_vector(A2: DenseMatrix, alpha, tol: float):
-    """Left eigenvector of A2 for alpha, normalized to sum 1."""
-    n = A2.n
-    if n == 1:
-        return (Fraction(1),) if A2.exact else (1.0,)
-    if A2.exact:
-        from .matrix import exact_nullspace
-
-        M = (A2 - DenseMatrix.diagonal_matrix([alpha] * n)).transpose()
-        basis = exact_nullspace(M)
-        candidates = [v for v in basis if sum(v) != 0]
-        if not candidates:
-            raise ValueError("left eigenvector has zero entry sum; glue undefined")
-        for v in candidates:
-            s = sum(v)
-            t = tuple(x / s for x in v)
-            if all(is_real(x) and re_part(x) >= 0 for x in t):
-                return t
-        s = sum(candidates[0])
-        return tuple(x / s for x in candidates[0])
-    from .eigen import left_eigenvector
-    from .errors import ConvergenceError
-
-    try:
-        pair = left_eigenvector(A2, to_float(alpha), tol=tol, normalize="sum1")
-    except (ConvergenceError, ValueError) as exc:
-        raise ValueError(f"left eigenvector computation failed: {exc}") from exc
-    vec = [complex(to_float(x)) for x in pair.vector]
-    # a real CS block has a real left eigenvector; drop iteration noise
-    if max(abs(x.imag) for x in vec) > 1e-6 * max(abs(x) for x in vec):
-        raise ValueError("left eigenvector is not real; glue undefined")
-    total = sum(x.real for x in vec)
-    if abs(total) < 1e-12:
-        raise ValueError("left eigenvector has zero entry sum; glue undefined")
-    return tuple(x.real / total for x in vec)
-
-
-def smigoc_glue(A1: DenseMatrix, A2: DenseMatrix, tol: float = 1e-9):
-    """Glue two blocks through a shared eigenvalue; returns (C, t).
+def smigoc_glue(A1: DenseMatrix, A2: DenseMatrix, t, tol: float = 1e-9) -> DenseMatrix:
+    """Glue two blocks through a shared eigenvalue.
 
     A1 = [[A11, a],[b^T, c]]: A1's trailing diagonal entry c must equal
-    A2's constant row sum.  C = [[A11, a t^T],[e b^T, A2]] where t is a
-    left eigenvector of A2 for c with entry sum 1.  C has A1's spectrum
-    plus A2's spectrum with one copy of c removed, and diagonal
-    (diag A1 without c, diag A2).
+    A2's constant row sum, and t must be a left eigenvector of A2 for c
+    with entry sum 1; the caller has it from A2's construction.  Returns
+    C = [[A11, a t^T],[e b^T, A2]], which has A1's spectrum plus A2's
+    spectrum with one copy of c removed, and diagonal (diag A1 without
+    c, diag A2).
     """
     n1 = A1.n
     if n1 < 2:
         raise ValueError("first block must be at least 2x2")
     exact = A1.exact and A2.exact
-    if not exact:
+    if exact:
+        t = normalize_vector(t, "exact")
+    else:
         A1, A2 = A1.to_float(), A2.to_float()
+        t = tuple(to_float(x) for x in t)
+    if len(t) != A2.n:
+        raise ValueError("glue vector length must match the second block")
     alpha = is_constant_row_sum(A2, tol=tol)
     if alpha is None:
         raise ValueError("second block must have constant row sums")
@@ -632,16 +604,28 @@ def smigoc_glue(A1: DenseMatrix, A2: DenseMatrix, tol: float = 1e-9):
             "trailing diagonal entry of the first block must equal the "
             "row-sum constant of the second"
         )
-    t = _left_fixed_vector(A2, alpha, tol)
-    n2 = A2.n
     rows = []
     for i in range(n1 - 1):
         a_i = A1[i, n1 - 1]
         rows.append(list(A1.rows[i][: n1 - 1]) + [a_i * tj for tj in t])
     b = A1.rows[n1 - 1][: n1 - 1]
-    for k in range(n2):
+    for k in range(A2.n):
         rows.append(list(b) + list(A2.rows[k]))
-    return DenseMatrix(rows), t
+    return DenseMatrix._trusted(rows, exact)
+
+
+def _block_vector(B: DenseMatrix) -> tuple:
+    """Left eigenvector, entry sum 1, of a construct_3x3 block for its row sum.
+
+    For [[b11, 0, b13], [b21, b22, b23], [0, b32, b33]] with row sums lam
+    it is proportional to (b21 b32, b13 b32, b13 (b21 + b23)).  On a chain
+    block the pair is nonreal, so b21 > 0 and b32 = lam - g3 > 0 make the
+    first entry, and the sum, positive.
+    """
+    (_, _, b13), (b21, _, b23), (_, b32, _) = B.rows
+    v = (b21 * b32, b13 * b32, b13 * (b21 + b23))
+    s = v[0] + v[1] + v[2]
+    return tuple(x / s for x in v)
 
 
 # ---------------------------------------------------------------------------
@@ -650,36 +634,37 @@ def smigoc_glue(A1: DenseMatrix, A2: DenseMatrix, tol: float = 1e-9):
 
 
 def _chain(lam1, pairs, gammas, tol: float, level: int = 0):
-    """Realize {lam1} + pairs with diagonal ``gammas``; returns (B, bridges, ts).
+    """Realize {lam1} + pairs with diagonal ``gammas``.
 
-    Splits the last pair into a 3x3 block whose dominant eigenvalue is
-    the bridge c = (lam1 + 2 sum Re of the other pairs) - sum of the
-    other gammas, then recurses on the prefix with c occupying the last
-    diagonal slot.  Bridges are reported outermost first, glue vectors
-    aligned with them.
+    Returns (B, bridges, ts, u).  Splits the last pair into a 3x3 block
+    whose dominant eigenvalue is the bridge c = (lam1 + 2 sum Re of the
+    other pairs) - sum of the other gammas (lam1 itself for one pair),
+    then recurses on the prefix with c occupying the last diagonal slot.
+    Bridges are reported outermost first, glue vectors aligned with
+    them; u is B's left eigenvector for lam1 with entry sum 1.
     """
     m = len(pairs)
     if len(gammas) != 2 * m + 1:
         raise ValueError("diagonal length must be 2 * pairs + 1")
-    if m == 1:
-        try:
-            return construct_3x3(lam1, pairs[0], gammas, tol=tol), (), ()
-        except FeasibilityError as exc:
-            raise _at_level(exc, level) from None
-    head = lam1
+    c = lam1
     for z in pairs[:-1]:
-        head = head + 2 * re_part(z)
-    c = head - sum(gammas[:-3])
+        c = c + 2 * re_part(z)
+    c = c - sum(gammas[:-3])
     # construct_3x3 checks that c is nonnegative and dominates its pair
     try:
         block = construct_3x3(c, pairs[-1], gammas[-3:], tol=tol)
     except FeasibilityError as exc:
         raise _at_level(exc, level) from None
-    prefix, bridges, ts = _chain(
+    t = _block_vector(block)
+    if m == 1:
+        return block, (), (), t
+    prefix, bridges, ts, u = _chain(
         lam1, pairs[:-1], tuple(gammas[:-3]) + (c,), tol, level + 1
     )
-    C, t = smigoc_glue(prefix, block, tol=tol)
-    return C, (c,) + bridges, (t,) + ts
+    C = smigoc_glue(prefix, block, t, tol=tol)
+    # if u^T prefix = lam1 u^T, then (u without its last entry, u_last t)
+    # is the same for C, and its entries still sum to 1 since sum(t) = 1
+    return C, (c,) + bridges, (t,) + ts, u[:-1] + tuple(u[-1] * x for x in t)
 
 
 def _at_level(exc: FeasibilityError, level: int) -> FeasibilityError:
@@ -719,8 +704,7 @@ def realize_smigoc(spectrum, gammas, tol: float = 1e-9) -> DenseMatrix:
     if not (spec.exact and target.exact):
         gs = tuple(to_float(g) for g in gs)
         spec = Spectrum([to_float(v) for v in spec.values], tol=tol)
-    B, _, _ = _chain(spec.perron, spec.tail_pairs, gs, tol)
-    return B
+    return _chain(spec.perron, spec.tail_pairs, gs, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -877,7 +861,7 @@ def _attempt(spec, cls, target, sigma, head_vals, chain_pairs, tol):
     if cls.tag is SpectrumClass.SULEIMANOVA_F:
         return realize_suleimanova(spec, gs, tol=tol), (), ()
     if cls.tag is SpectrumClass.SMIGOC_G:
-        return _chain(spec.perron, chain_pairs, gs, tol)
+        return _chain(spec.perron, chain_pairs, gs, tol)[:3]
     # mixed: head block with the bridge in its last slot, then the chain
     p = len(head_vals)
     g_head, g_chain = gs[: p - 1], gs[p - 1 :]
@@ -895,9 +879,8 @@ def _attempt(spec, cls, target, sigma, head_vals, chain_pairs, tol):
         )
     head_spec = Spectrum(head_vals, tol=tol)
     A1 = realize_suleimanova(head_spec, tuple(g_head) + (c,), tol=tol)
-    A2, bridges, ts = _chain(c, chain_pairs, g_chain, tol, level=1)
-    C, t = smigoc_glue(A1, A2, tol=tol)
-    return C, (c,) + bridges, (t,) + ts
+    A2, bridges, ts, u = _chain(c, chain_pairs, g_chain, tol, level=1)
+    return smigoc_glue(A1, A2, u, tol=tol), (c,) + bridges, (u,) + ts
 
 
 def _inverse(perm: tuple) -> tuple:

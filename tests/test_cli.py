@@ -222,9 +222,9 @@ class TestNonFiniteSpectrum:
         assert cert["computed_spectrum"] == [[None, 0.0]] * 3
 
 
-# Exact Suleimanova-type problems (n = 23, 24, 24) whose realizations are
-# correct but whose float spectra, from Durand-Kerner roots of the exact
-# char poly, were rejected, came out NaN, or did not converge.
+# Exact Suleimanova-type problems (n = 23, 24, 24): regression problems for
+# the modular char-poly identity, which must certify their correct
+# realizations exactly.
 WEDGE_FAULT_PROBLEMS = (
     (
         '{"spectrum": ["7301/120", "-8/3", -5, -1, -11, -3, "-5/2", [-2,'

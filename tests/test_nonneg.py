@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from diagforge.eigen import char_poly, eigenvalues, match_multisets
 from diagforge.errors import CertificationError, FeasibilityError
-from diagforge.matrix import DenseMatrix, row_sums
+from diagforge.matrix import DenseMatrix, exact_nullspace, row_sums
 from diagforge.nonneg import (
     Spectrum,
     SpectrumClass,
+    _chain,
     as_spectrum,
     check_trace,
     classify,
@@ -299,6 +300,21 @@ class TestConstruct3x3:
         )
         assert m.max_distance < 1e-8
 
+    @pytest.mark.parametrize(
+        "lam1, pair, gammas",
+        [
+            (6, complex(-2, 3), (0, 0, 2)),
+            (6, exact_complex(-2, 3), (0.0, 0.0, 2.0)),
+            (3, 0, (0.0, 0.0, 3.0)),  # the degenerate corner
+        ],
+    )
+    def test_mixed_backends_go_float(self, lam1, pair, gammas):
+        b = construct_3x3(lam1, pair, gammas)
+        assert b == construct_3x3(
+            float(lam1), complex(pair), tuple(float(g) for g in gammas)
+        )
+        assert all(type(x) is float for row in b.rows for x in row)
+
     def test_random_feasible_triples(self):
         rng = random.Random(99)
         for _ in range(50):
@@ -319,22 +335,44 @@ class TestConstruct3x3:
 
 
 class TestGlue:
+    HALF = (Fraction(1, 2), Fraction(1, 2))  # left 1-vector of [[0,1],[1,0]]
+
     def test_two_by_two_oracle(self):
         a1 = DenseMatrix([[1, 2], [2, 1]])  # corner 1 = row sum of a2
         a2 = DenseMatrix([[0, 1], [1, 0]])
-        c, _ = smigoc_glue(a1, a2)
+        c = smigoc_glue(a1, a2, self.HALF)
         assert c.to_lists() == [[1, 1, 1], [2, 0, 1], [2, 1, 0]]
         # spectra: {3,-1} and {1,-1} merge to {3,-1,-1}
         assert char_poly(c) == [1, -1, -5, -3]
 
     def test_one_by_one_is_identity(self):
         a1 = DenseMatrix([[1, 2], [2, 1]])
-        c, _ = smigoc_glue(a1, DenseMatrix([[1]]))
+        c = smigoc_glue(a1, DenseMatrix([[1]]), (1,))
         assert c.to_lists() == a1.to_lists()
 
     def test_corner_mismatch_rejected(self):
         with pytest.raises(ValueError, match="trailing diagonal"):
-            smigoc_glue(DenseMatrix([[1, 2], [2, 5]]), DenseMatrix([[0, 1], [1, 0]]))
+            smigoc_glue(
+                DenseMatrix([[1, 2], [2, 5]]), DenseMatrix([[0, 1], [1, 0]]), self.HALF
+            )
+
+    def test_vector_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="glue vector length"):
+            smigoc_glue(
+                DenseMatrix([[1, 2], [2, 1]]), DenseMatrix([[0, 1], [1, 0]]), (1,)
+            )
+
+    def test_float_block_takes_the_vector_as_floats(self):
+        a1 = DenseMatrix([[1.0, 2.0], [2.0, 1.0]])
+        c = smigoc_glue(a1, DenseMatrix([[0, 1], [1, 0]]), self.HALF)
+        assert not c.exact
+        assert c == DenseMatrix([[1.0, 1.0, 1.0], [2.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+
+
+def _sum1_left_null_vector(a, value):
+    """The left eigenvector of ``a`` for a simple eigenvalue, entry sum 1."""
+    (v,) = exact_nullspace((a - DenseMatrix.diagonal_matrix([value] * a.n)).transpose())
+    return tuple(x / sum(v) for x in v)
 
 
 @st.composite
@@ -359,12 +397,43 @@ def glue_instance(draw):
 @settings(max_examples=80, deadline=None)
 def test_glue_spectrum_law(case):
     a1, a2, alpha = case
-    c, _ = smigoc_glue(a1, a2)
+    # alpha is a2's Perron value, so semisimple: some left alpha-vector
+    # has a nonzero entry sum
+    basis = exact_nullspace(
+        (a2 - DenseMatrix.diagonal_matrix([alpha] * a2.n)).transpose()
+    )
+    v = next(v for v in basis if sum(v))
+    c = smigoc_glue(a1, a2, tuple(x / sum(v) for x in v))
     assert c.n == a1.n + a2.n - 1
     # char(C) * (t - alpha) = char(A1) * char(A2)
     lhs = poly_mul(char_poly(c), [Fraction(1), -alpha])
     rhs = poly_mul(char_poly(a1), char_poly(a2))
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("tag", [SpectrumClass.SMIGOC_G, SpectrumClass.MIXED])
+def test_chain_vector_is_the_left_perron_vector(tag):
+    # the closed-form glue vectors against exact Gauss-Jordan: _chain's
+    # vector is the chain's sum-1 left null vector of (C - lam I), the
+    # mixed join glues with it, and the outermost block's own vector is
+    # the first of the chain's glue vectors
+    rng = random.Random(f"glue-vector:{tag.value}")
+    for k in range(40):
+        vals, gammas = _in_class_problem(rng, tag)
+        b, plan = realize_mixed(vals, gammas, order="keep")
+        n2 = 2 * len(plan.chain_part) + 1
+        lam = plan.bridges[0] if tag is SpectrumClass.MIXED else plan.head_part[0]
+        chain, bridges, ts, u = _chain(
+            lam, plan.chain_part, gammas[b.n - n2 :], 1e-9, level=1
+        )
+        trailing = [row[b.n - n2 :] for row in b.rows[b.n - n2 :]]
+        assert chain == DenseMatrix(trailing), k
+        assert u == _sum1_left_null_vector(chain, lam), k
+        if tag is SpectrumClass.MIXED:
+            assert plan.glue_vectors[0] == u, k
+        if ts:
+            block = DenseMatrix([row[-3:] for row in chain.rows[-3:]])
+            assert ts[0] == _sum1_left_null_vector(block, bridges[0]), k
 
 
 class TestRealizeSmigoc:
