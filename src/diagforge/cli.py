@@ -91,8 +91,12 @@ def parse_matrix(raw, exact_only: bool) -> DenseMatrix:
             raise ProblemError("'matrix' must be square, row-major")
         rows.append([parse_scalar(v, exact_only) for v in row])
     flat = _coerce_section([v for row in rows for v in row])
+    exact = not isinstance(flat[0], (float, complex))
+    if exact:
+        # _trusted takes exact entries as Fraction/ComplexRational only
+        flat = [Fraction(v) if isinstance(v, int) else v for v in flat]
     n = len(raw)
-    return DenseMatrix([flat[i * n : (i + 1) * n] for i in range(n)])
+    return DenseMatrix._trusted([flat[i * n : (i + 1) * n] for i in range(n)], exact)
 
 
 def load_problem(path: str) -> dict:

@@ -17,7 +17,12 @@ multiple eigenvalue costs no accuracy.
 Right eigenvectors come from inverse iteration, and are real for a real
 eigenvalue of a real matrix.  For a constant-row-sum matrix
 and its row-sum eigenvalue the right eigenvector is returned as the exact
-all-ones vector.
+all-ones vector.  The search for an eigenvector with no zero entry
+(:func:`all_nonzero_eigenvector`) tries the eigenvalues of a real matrix
+simple real first, then simple nonreal, then repeated, so a real matrix
+yields a real vector whenever a simple real eigenvalue has a zero-free
+one.  Every routine here reads a matrix's numpy array, largest entry
+modulus and realness from the matrix, which computes them once.
 """
 
 from __future__ import annotations
@@ -56,15 +61,13 @@ class SpectrumEstimate:
 
 @dataclass(frozen=True)
 class EigenPair:
-    """An eigenvalue with one eigenvector and the achieved residual.
-
-    ``side`` is "right" (A v = lam v), the only side computed.  The
-    vector has unit max-norm unless a caller renormalizes it.
+    """An eigenvalue with one right eigenvector (A v = lam v) and the
+    achieved residual.  The vector has unit max-norm unless a caller
+    renormalizes it.
     """
 
     value: object
     vector: tuple
-    side: str
     residual: float
 
 
@@ -146,7 +149,7 @@ def eigenvalues(A: DenseMatrix) -> SpectrumEstimate:
         raise ConvergenceError(f"LAPACK eigenvalue solver failed: {exc}") from None
     residual = 0.0
     if A.is_real():
-        scale = max(1.0, float(np.max(np.abs(M))))
+        scale = max(1.0, A.max_abs())
         vals, residual = _symmetrize_conjugates(vals, scale, REAL_AXIS_TOL)
     return SpectrumEstimate(tuple(sorted(vals, key=_sort_key)), residual)
 
@@ -437,9 +440,10 @@ def _project_out(y: np.ndarray, avoid: list) -> np.ndarray:
     return y
 
 
-def _inverse_iteration(M: np.ndarray, lam: complex, tol: float, avoid: list):
+def _inverse_iteration(
+    M: np.ndarray, lam: complex, tol: float, avoid: list, scale: float
+):
     n = M.shape[0]
-    scale = max(1.0, float(np.max(np.abs(M))))
     rng = np.random.default_rng(987654321)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     if avoid:
@@ -474,14 +478,14 @@ def _inverse_iteration(M: np.ndarray, lam: complex, tol: float, avoid: list):
     )
 
 
-def _finish_vector(M: np.ndarray, x: np.ndarray, lam: complex):
+def _finish_vector(M: np.ndarray, x: np.ndarray, lam: complex, real_m: bool):
     idx = int(np.argmax(np.abs(x)))
     x = x / x[idx]
     # for a real M and a real lam the real part of x (entry idx is 1) is
     # an eigenvector with no larger residual, so a real problem gets a
     # real vector by construction; otherwise only rounding-level
     # imaginary parts are dropped
-    real_problem = lam.imag == 0 and not np.any(M.imag)
+    real_problem = lam.imag == 0 and real_m
     if real_problem or np.max(np.abs(x.imag)) <= 64.0 * _EPS * float(np.max(np.abs(x))):
         x = x.real.astype(complex)
     residual = float(np.max(np.abs(M @ x - lam * x))) / max(
@@ -508,27 +512,31 @@ def right_eigenvector(
             one = Fraction(1) if A.exact else 1.0
             vec = (one,) * A.n
             residual = float(abs(complex(to_float(alpha)) - lamf))
-            return EigenPair(lam, vec, "right", residual)
+            return EigenPair(lam, vec, residual)
     M = A.to_numpy().astype(complex)
     avoid_np = [np.array([complex(to_float(v)) for v in w]) for w in avoid]
-    x = _inverse_iteration(M, lamf, tol, avoid_np)
-    vec, residual = _finish_vector(M, x, lamf)
-    return EigenPair(lam, vec, "right", residual)
+    x = _inverse_iteration(M, lamf, tol, avoid_np, scale)
+    vec, residual = _finish_vector(M, x, lamf, A.is_real())
+    return EigenPair(lam, vec, residual)
 
 
 def all_nonzero_eigenvector(
     A: DenseMatrix, est: SpectrumEstimate, tol: float
 ) -> Optional[EigenPair]:
-    """Scan eigenvalues (largest modulus first) for an eigenvector with no
-    zero entries.
+    """Scan eigenvalues for an eigenvector with no zero entries.
 
     ``est`` is a spectrum of A, or of a matrix similar to A, that the
-    caller has already computed.  Eigenvalues within 1e-7 max(1, |A|_max)
-    of each other form one group, which yields up to as many independent
-    eigenvectors as it has members.  Eigenpairs are accepted at residual
-    ``tol``; an entry counts as nonzero when its modulus exceeds
-    ZERO_ENTRY_TOL times the vector's max-norm.  Returns None when every
-    eigenvalue is exhausted.
+    caller has already computed, largest modulus first.  Eigenvalues
+    within 1e-7 max(1, |A|_max) of each other form one group, which
+    yields up to as many independent eigenvectors as it has members.
+    For a real A the groups are tried simple real first, then simple
+    nonreal, then repeated, each class in largest-modulus order: a real
+    eigenvalue of a real matrix has a real eigenvector, so a real A gets
+    a real vector whenever a simple real eigenvalue has a zero-free one.
+    For a complex A the groups are tried in largest-modulus order.
+    Eigenpairs are accepted at residual ``tol``; an entry counts as
+    nonzero when its modulus exceeds ZERO_ENTRY_TOL times the vector's
+    max-norm.  Returns None when every eigenvalue is exhausted.
     """
     scale = max(1.0, A.max_abs())
     groups: list[list[complex]] = []
@@ -537,6 +545,9 @@ def all_nonzero_eigenvector(
             groups[-1].append(lam)
         else:
             groups.append([lam])
+    if A.is_real():
+        # sort() is stable, so each class keeps the largest-modulus order
+        groups.sort(key=lambda g: 2 if len(g) > 1 else int(g[0].imag != 0))
     for group in groups:
         found: list[tuple] = []
         for _ in range(len(group)):

@@ -37,10 +37,21 @@ def normalize_vector(values: Sequence, family: Optional[str] = None) -> tuple:
     return tuple(coerce_scalars(values, family))
 
 
+def _entries_array(rows, exact: bool) -> np.ndarray:
+    """Rows of normalized scalars as one array: complex when any entry is
+    complex (``ComplexRational`` included), else float."""
+    if exact:
+        rows = [[to_float(x) for x in r] for r in rows]
+    # numpy infers float64 from Python floats, complex128 if one is complex
+    return np.array(rows)
+
+
 class DenseMatrix:
     """Square matrix with immutable entries on a single scalar backend."""
 
-    __slots__ = ("n", "rows", "exact")
+    # ``_numeric`` is None until first use, then (array, max |entry|,
+    # realness) of the entries, computed once (see :meth:`_facts`)
+    __slots__ = ("n", "rows", "exact", "_numeric")
 
     def __init__(self, rows):
         data = [list(r) for r in rows]
@@ -57,6 +68,7 @@ class DenseMatrix:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", tuple(tuple(r) for r in normalized))
         object.__setattr__(self, "exact", family == "exact")
+        object.__setattr__(self, "_numeric", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("DenseMatrix is immutable")
@@ -78,7 +90,31 @@ class DenseMatrix:
         object.__setattr__(self, "n", len(rows))
         object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
         object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "_numeric", None)
         return self
+
+    @classmethod
+    def _from_array(cls, arr: np.ndarray) -> "DenseMatrix":
+        """Wrap a float or complex array the library computed itself.
+
+        The rows are ``arr.tolist()`` (Python floats or complexes, as
+        ``_trusted`` requires) and ``arr`` becomes the matrix's array.
+        """
+        self = cls._trusted(arr.tolist(), False)
+        self._remember(arr)
+        return self
+
+    def _facts(self) -> tuple:
+        """(array, max |entry|, whether every entry is real), computed on
+        first use from the rows and then reused: the matrix is immutable."""
+        if self._numeric is None:
+            self._remember(_entries_array(self.rows, self.exact))
+        return self._numeric
+
+    def _remember(self, arr: np.ndarray) -> None:
+        arr.flags.writeable = False
+        real = arr.dtype.kind != "c" or not arr.imag.any()
+        object.__setattr__(self, "_numeric", (arr, float(np.max(np.abs(arr))), real))
 
     # -- constructors -------------------------------------------------
 
@@ -115,17 +151,16 @@ class DenseMatrix:
     # -- conversions ----------------------------------------------------
 
     def to_float(self) -> "DenseMatrix":
+        """The matrix on the float backend, built from (and sharing) this
+        matrix's array; an entry becomes ``complex`` when any entry is."""
         if not self.exact:
             return self
-        return DenseMatrix._trusted(
-            [[to_float(x) for x in r] for r in self.rows], False
-        )
+        return DenseMatrix._from_array(self.to_numpy())
 
     def to_numpy(self) -> np.ndarray:
-        flat = [to_float(x) for r in self.rows for x in r]
-        dtype = complex if any(isinstance(x, complex) for x in flat) else float
-        arr = np.array(flat, dtype=dtype)
-        return arr.reshape(self.n, self.n)
+        """The entries as a read-only array, complex when any entry is
+        complex, else float; built once and then reused."""
+        return self._facts()[0]
 
     # -- algebra --------------------------------------------------------
 
@@ -206,21 +241,22 @@ class DenseMatrix:
         d0 = self.rows[0][0]
         if self.exact or tol == 0.0:
             return self.is_diagonal() and all(x == d0 for x in self.diagonal())
-        off = max(
-            (scalar_abs(self.rows[i][j]) for i in range(self.n) for j in range(self.n) if i != j),
-            default=0.0,
-        )
-        spread = max(scalar_abs(x - d0) for x in self.diagonal())
+        a = self.to_numpy()
+        diag = np.diagonal(a)
+        off = float(np.max(np.abs(a - np.diag(diag))))
+        spread = float(np.max(np.abs(diag - diag[0])))
         return off <= tol and spread <= tol
 
     def max_abs(self) -> float:
-        return max(scalar_abs(x) for r in self.rows for x in r)
+        return self._facts()[1]
 
     def min_real_entry(self):
         """Smallest real part over all entries (entrywise bound helper)."""
         return min(re_part(x) for r in self.rows for x in r)
 
     def is_real(self) -> bool:
+        if not self.exact:
+            return self._facts()[2]
         return all(is_real(x) for r in self.rows for x in r)
 
     def __eq__(self, other):
@@ -271,13 +307,10 @@ def diag_similarity(A: DenseMatrix, d: Sequence) -> DenseMatrix:
     dd = normalize_vector(d, fam)
     if len(dd) != A.n:
         raise ValueError("dimension mismatch")
-    if A.exact:
-        if any(not x for x in dd):
-            raise ValueError("zero scale entry in diagonal similarity")
-    else:
-        dmax = max(scalar_abs(x) for x in dd)
-        if dmax == 0.0 or any(scalar_abs(x) <= SCALE_ZERO_TOL * dmax for x in dd):
-            raise ValueError("near-zero scale entry in diagonal similarity")
+    if not A.exact:
+        return DenseMatrix._from_array(_diag_similarity_array(A.to_numpy(), dd))
+    if any(not x for x in dd):
+        raise ValueError("zero scale entry in diagonal similarity")
     out = []
     for i in range(A.n):
         row = []
@@ -287,7 +320,20 @@ def diag_similarity(A: DenseMatrix, d: Sequence) -> DenseMatrix:
             else:
                 row.append(A.rows[i][j] * (dd[j] / dd[i]))
         out.append(row)
-    return DenseMatrix._trusted(out, A.exact)
+    return DenseMatrix._trusted(out, True)
+
+
+def _diag_similarity_array(a: np.ndarray, d: tuple) -> np.ndarray:
+    """D^{-1} a D for a float or complex array ``a`` and float scale
+    entries ``d``: entry (i, j) is a_ij * (d_j / d_i), and the diagonal
+    of ``a`` is kept entry for entry."""
+    dmax = max(scalar_abs(x) for x in d)
+    if dmax == 0.0 or any(scalar_abs(x) <= SCALE_ZERO_TOL * dmax for x in d):
+        raise ValueError("near-zero scale entry in diagonal similarity")
+    dv = np.array(d)
+    out = a * (dv[None, :] / dv[:, None])
+    np.fill_diagonal(out, np.diagonal(a))
+    return out
 
 
 def permute_similarity(A: DenseMatrix, perm: Sequence[int]) -> DenseMatrix:
@@ -315,12 +361,24 @@ def is_constant_row_sum(A: DenseMatrix, tol: float = 1e-9):
     backend: the maximum deviation from the mean row sum must be at most
     ``tol * max(1, |mean|)``; the mean is returned.
     """
-    sums = row_sums(A)
-    if A.exact:
-        alpha = sums[0]
-        return alpha if all(s == alpha for s in sums) else None
-    mean = sum(sums) / A.n
-    dev = max(scalar_abs(s - mean) for s in sums)
+    if not A.exact:
+        return _row_sum_mean(A.to_numpy(), tol)
+    rows = iter(A.rows)
+    alpha = sum(next(rows))
+    return alpha if all(sum(r) == alpha for r in rows) else None
+
+
+def _row_sums_array(a: np.ndarray) -> np.ndarray:
+    """Row sums of a float or complex array, each added left to right
+    from 0 as Python's ``sum`` of floats does (before Python 3.12)."""
+    return np.cumsum(a, axis=1)[:, -1] + 0.0
+
+
+def _row_sum_mean(a: np.ndarray, tol: float):
+    """The float branch of :func:`is_constant_row_sum`, on an array."""
+    sums = _row_sums_array(a)
+    mean = sum(sums.tolist()) / len(sums)
+    dev = float(np.max(np.abs(sums - mean)))
     if dev <= tol * max(1.0, scalar_abs(mean)):
         return mean
     return None

@@ -12,12 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .certify import SPECTRUM_REL_TOL
 from .errors import CertificationError, FeasibilityError
 from .matrix import (
     DenseMatrix,
+    _diag_similarity_array,
+    _row_sum_mean,
+    _row_sums_array,
     diag_similarity,
     is_constant_row_sum,
     normalize_vector,
@@ -140,26 +145,36 @@ def set_diagonal_cs(
     if target.n != A.n:
         raise ValueError("diagonal length must match matrix size")
     gs = _match_backend(target.gammas, A)
-    alpha = is_constant_row_sum(A, tol=tol)
-    if alpha is None:
+    if not A.exact:
+        return DenseMatrix._from_array(_set_diagonal_array(A.to_numpy(), gs, tol)[0])
+    if is_constant_row_sum(A) is None:
         raise ValueError("matrix does not have constant row sums")
-    diag = A.diagonal()
-    q = [g - d for g, d in zip(gs, diag)]
-    qsum = sum(q)
-    if A.exact and all(is_exact(g) for g in gs):
-        if qsum != 0:
-            raise ValueError("trace mismatch: sum(gammas) != trace(A)")
-    elif scalar_abs(qsum) > max(TRACE_MATCH_TOL, tol) * max(1.0, A.max_abs()):
+    q = [g - d for g, d in zip(gs, A.diagonal())]
+    if sum(q) != 0:
         raise ValueError("trace mismatch: sum(gammas) != trace(A)")
     out = []
     for i in range(A.n):
         row = list(A.rows[i])
         for j in range(A.n):
-            # diagonal entries are written directly: a_ii + (g_i - a_ii)
-            # is g_i exactly, and spelling it out dodges float rounding
             row[j] = gs[j] if i == j else row[j] + q[j]
         out.append(row)
-    return DenseMatrix._trusted(out, A.exact)
+    return DenseMatrix._trusted(out, True)
+
+
+def _set_diagonal_array(a, gs: tuple, tol: float):
+    """The float branch of :func:`set_diagonal_cs` on an array: returns
+    (a + e q^T with diagonal ``gs``, q)."""
+    if _row_sum_mean(a, tol) is None:
+        raise ValueError("matrix does not have constant row sums")
+    q = tuple(g - d for g, d in zip(gs, np.diagonal(a).tolist()))
+    scale = max(1.0, float(np.max(np.abs(a))))
+    if scalar_abs(sum(q)) > max(TRACE_MATCH_TOL, tol) * scale:
+        raise ValueError("trace mismatch: sum(gammas) != trace(A)")
+    out = a + np.array(q)
+    # diagonal entries are written directly: a_ii + (g_i - a_ii) is g_i
+    # exactly, and spelling it out dodges float rounding
+    np.fill_diagonal(out, gs)
+    return out, q
 
 
 def _match_backend(values: tuple, A: DenseMatrix) -> tuple:
@@ -183,6 +198,13 @@ def embed_anchor(A: DenseMatrix, anchor: int = 0) -> DenseMatrix:
     n = A.n
     if not 0 <= anchor < n:
         raise ValueError("anchor out of range")
+    if not A.exact:
+        a = A.to_numpy()
+        out = a.copy()
+        out[:, anchor] = _row_sums_array(a)
+        others = np.arange(n) != anchor
+        out[others] -= out[anchor]
+        return DenseMatrix._from_array(out)
     rows = [list(r) for r in A.rows]
     for i in range(n):
         rows[i][anchor] = sum(A.rows[i])
@@ -190,7 +212,7 @@ def embed_anchor(A: DenseMatrix, anchor: int = 0) -> DenseMatrix:
     for i in range(n):
         if i != anchor:
             rows[i] = [x - y for x, y in zip(rows[i], base)]
-    return DenseMatrix._trusted(rows, A.exact)
+    return DenseMatrix._trusted(rows, True)
 
 
 def brauer_shift(A: DenseMatrix, pair, q) -> DenseMatrix:
@@ -243,18 +265,24 @@ def similar_with_diagonal(
     * A already has constant row sums: rewrite the diagonal in place.
     * A is diagonal (exact backend): conjugate by the anchor embedding,
       scale by the known eigenvector (1, -1, ..., -1), rewrite.
-    * otherwise: find an eigenvector with no zero entries (searching
-      anchor embeddings when A itself has none), scale into constant-
-      row-sum form, rewrite.
+    * otherwise, in floats: find an eigenvector with no zero entries
+      (searching anchor embeddings when A itself has none), scale into
+      constant-row-sum form, rewrite.  For a real A the search
+      (:func:`~diagforge.eigen.all_nonzero_eigenvector`) tries simple
+      real eigenvalues first, then simple nonreal ones, then repeated
+      ones, so B is real whenever a simple real eigenvalue of A has a
+      zero-free eigenvector.
 
     Returns (B, trace); replaying the trace on A reproduces B.  The output
     is certified once, on its own backend (see :func:`_certified`): the
     diagonal is checked for equality, and the spectrum by char-poly
     identity for an exact B or by matching B's float spectrum to that
-    of A for a float B.  On the float route the spectrum of A (converted
-    to floats) is computed once and serves the eigenvector search, in A
-    and in every anchor embedding (each is similar to A), and the
-    certification.
+    of A for a float B.  On the float route A becomes one numpy array
+    once, with its largest entry modulus and realness, and every step up
+    to B works on arrays; B becomes a ``DenseMatrix`` once, at the end.
+    The spectrum of A is computed once and serves the eigenvector
+    search, in A and in every anchor embedding (each is similar to A),
+    and the certification.
     """
     target = as_diagonal_target(gammas)
     n = A.n
@@ -297,25 +325,24 @@ def similar_with_diagonal(
         steps.append(TraceStep("rank_one", q))
         return _certified(A, B, target, steps)
 
-    # float route
+    # float route: A's array, built once, serves every step up to B
     from .eigen import all_nonzero_eigenvector, eigenvalues
 
     Af = A.to_float()
     spec_a = eigenvalues(Af)
-    gf = DiagonalTarget(tuple(to_float(g) for g in target.gammas), target.mode)
+    gf = tuple(to_float(g) for g in target.gammas)
     if A.exact:
         steps.append(TraceStep("to_float"))
-    M = Af
+    M = Af.to_numpy()
     if is_constant_row_sum(Af, tol=tol) is None:
         pair = all_nonzero_eigenvector(Af, spec_a, tol)
-        anchor_used: Optional[int] = None
         if pair is None:
             for i in range(n):
                 Mi = embed_anchor(Af, i)
                 pair = all_nonzero_eigenvector(Mi, spec_a, tol)
                 if pair is not None:
-                    anchor_used = i
-                    M = Mi
+                    M = Mi.to_numpy()
+                    steps.append(TraceStep("embed", i))
                     break
             else:
                 raise FeasibilityError(
@@ -323,15 +350,12 @@ def similar_with_diagonal(
                     "directly or through any anchor embedding",
                     condition="no-total-support-eigenvector",
                 )
-        if anchor_used is not None:
-            steps.append(TraceStep("embed", anchor_used))
         d = tuple(to_float(x) for x in pair.vector)
-        M = diag_similarity(M, d)
+        M = _diag_similarity_array(M, d)
         steps.append(TraceStep("scale", d))
-    q = tuple(g - x for g, x in zip(gf.gammas, M.diagonal()))
-    B = set_diagonal_cs(M, gf, tol=max(tol, 1e-6))
+    B, q = _set_diagonal_array(M, gf, max(tol, 1e-6))
     steps.append(TraceStep("rank_one", q))
-    return _certified(A, B, target, steps, spec_a)
+    return _certified(A, DenseMatrix._from_array(B), target, steps, spec_a)
 
 
 def _certified(A, B, target, steps, spec_a=None):

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import diagforge.eigen
-from diagforge.cli import main
+from diagforge.cli import main, parse_matrix
 from diagforge.eigen import SpectrumEstimate
 from diagforge.errors import ConvergenceError
+from diagforge.matrix import DenseMatrix
 
 
 def run(tmp_path, problem, *args):
@@ -374,6 +375,29 @@ class TestParsing:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["class"] == "SuleimanovaF"
+
+    @pytest.mark.parametrize(
+        "raw, exact_only",
+        [
+            ([[1, 2], [3, 4]], True),
+            ([[1, "1/2"], [[0, 1], -3]], True),
+            ([[1, 2.5], [3, 4]], False),
+            ([[1, [0.0, 1.0]], ["1/2", 4]], False),
+        ],
+        ids=["int", "exact", "float", "complex"],
+    )
+    def test_parsed_matrix_equals_the_validated_one(self, raw, exact_only, monkeypatch):
+        # the parser normalizes every entry itself, so building the matrix
+        # must not run the validating constructor again
+        def forbidden(self, rows):
+            raise AssertionError("parse_matrix re-validated its rows")
+
+        parsed_via_init = DenseMatrix(parse_matrix(raw, exact_only).rows)
+        monkeypatch.setattr(DenseMatrix, "__init__", forbidden)
+        parsed = parse_matrix(raw, exact_only)
+        assert (parsed.exact, parsed.rows) == (parsed_via_init.exact, parsed_via_init.rows)
+        types = [type(x) for r in parsed.rows for x in r]
+        assert types == [type(x) for r in parsed_via_init.rows for x in r]
 
     def test_rational_strings_accepted_in_input(self, tmp_path):
         problem = {"spectrum": [5, "-1/2", "-3/2"]}

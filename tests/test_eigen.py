@@ -353,6 +353,47 @@ def test_all_nonzero_eigenvector_cases():
     assert min(abs(complex(v)) for v in pair.vector) > 0
 
 
+def _integer_conjugate(J, seed):
+    """P J P^-1 for a dense unimodular integer P."""
+    rng = random.Random(seed)
+    n = len(J)
+    P = [[int(i == j) for j in range(n)] for i in range(n)]
+    P_inv = [r[:] for r in P]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        # P <- (I + c e_i e_j^T) P and P^-1 <- P^-1 (I - c e_i e_j^T)
+        P[i] = [x + c * y for x, y in zip(P[i], P[j])]
+        for r in P_inv:
+            r[j] -= c * r[i]
+    return DenseMatrix(P) @ DenseMatrix(J) @ DenseMatrix(P_inv)
+
+
+@pytest.mark.parametrize("alpha", [1, 5], ids=["smaller", "larger"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_search_tries_simple_groups_before_a_repeated_one(alpha, seed):
+    # J_2(alpha) + [[2, -3], [3, 2]]: the simple pair 2 +- 3i has
+    # zero-free eigenvectors, so the repeated alpha, at which a rank-one
+    # rewrite can change the Jordan structure, must not be returned;
+    # alpha = 5 leads in modulus, where a largest-first scan reaches it
+    J = [[alpha, 1, 0, 0], [0, alpha, 0, 0], [0, 0, 2, -3], [0, 0, 3, 2]]
+    a = _integer_conjugate(J, seed).to_float()
+    pair = all_nonzero_eigenvector(a, eigenvalues(a), 1e-9)
+    assert pair is not None
+    assert abs(pair.value - complex(2, 3)) < 1e-6 or abs(pair.value - complex(2, -3)) < 1e-6
+
+
+def test_search_takes_a_simple_real_group_before_larger_nonreal_ones():
+    # spectrum 5 +- 5i, 2, -1: a real value is taken and its vector is real
+    for seed in range(5):
+        a = _integer_conjugate(
+            [[5, -5, 0, 0], [5, 5, 0, 0], [0, 0, 2, 0], [0, 0, 0, -1]], seed
+        ).to_float()
+        pair = all_nonzero_eigenvector(a, eigenvalues(a), 1e-9)
+        assert pair.value.imag == 0
+        assert all(type(v) is float for v in pair.vector)
+
+
 def test_match_multisets_reports_worst_distance():
     m = match_multisets([1.0, 2.0], [2.0, 1.5])
     assert m.max_distance == pytest.approx(0.5)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from diagforge.matrix import (
     rank_one_add,
     row_sums,
 )
-from diagforge.scalars import ComplexRational, exact_complex
+from diagforge.scalars import ComplexRational, exact_complex, to_float
 from diagforge.similarity import embed_anchor, set_diagonal_cs
 
 
@@ -174,3 +175,86 @@ def test_library_built_matrices_cover_complex_rational_entries():
         m = op(a, v)
         if m.exact:
             assert any(isinstance(x, ComplexRational) for r in m.rows for x in r)
+
+
+@pytest.mark.parametrize("case", TRUSTED_CASES)
+def test_array_facts_are_built_once_and_match_the_rows(case):
+    a, _ = TRUSTED_CASES[case]
+    a = a.to_float() if case.startswith("exact") else a
+    arr = a.to_numpy()
+    assert a.to_numpy() is arr
+    assert not arr.flags.writeable
+    assert arr.tolist() == a.to_lists()
+    assert a.max_abs() == max(abs(x) for r in a.rows for x in r)
+    assert a.is_real() == all(not isinstance(x, complex) or x.imag == 0 for r in a.rows for x in r)
+
+
+def test_float_scalar_matrix_is_judged_within_the_tolerance():
+    a = DenseMatrix([[2.0, 1e-13], [0.0, 2.0 + 1e-13j]])
+    assert a.is_scalar_matrix(tol=1e-12)
+    assert not a.is_scalar_matrix(tol=1e-14)
+    assert not DenseMatrix([[2.0, 0.0], [0.0, 2.1]]).is_scalar_matrix(tol=1e-12)
+
+
+def test_complex_entries_with_zero_imaginary_part_count_as_real():
+    a = DenseMatrix([[1.0 + 0j, 2.0], [3.0, -4.0]])
+    assert a.to_numpy().dtype == complex
+    assert a.is_real()
+    assert a.max_abs() == 4.0
+
+
+# -- the float branches compute on arrays: the loop versions as reference --
+
+
+def _float_case(seed, complex_entries):
+    rng = random.Random(seed)
+    n = rng.randint(2, 12)
+
+    def draw():
+        x = rng.uniform(-5, 5)
+        return complex(x, rng.uniform(-5, 5)) if complex_entries and rng.random() < 0.5 else x
+
+    return DenseMatrix([[draw() for _ in range(n)] for _ in range(n)]), rng
+
+
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("seed", range(10))
+def test_float_branches_match_their_loop_versions(seed, complex_entries):
+    # real entries: the same float operations in the same order, so the
+    # results are equal bit for bit; complex division and multiplication
+    # may round differently in numpy, so complex entries get a tolerance
+    a, rng = _float_case(seed, complex_entries)
+    n, rows = a.n, a.rows
+
+    def same(m, ref):
+        if complex_entries:
+            assert all(
+                abs(complex(x) - complex(y)) <= 1e-14 * max(1.0, abs(complex(y)))
+                for r, rr in zip(m.rows, ref) for x, y in zip(r, rr)
+            )
+        else:
+            assert m.to_lists() == ref
+
+    d = tuple(rng.uniform(0.5, 2) * rng.choice([-1, 1]) for _ in range(n))
+    same(diag_similarity(a, d), [
+        [rows[i][j] if i == j else rows[i][j] * (d[j] / d[i]) for j in range(n)]
+        for i in range(n)
+    ])
+    anchor = rng.randrange(n)
+    ref = [list(r) for r in rows]
+    for i in range(n):
+        ref[i][anchor] = sum(rows[i])
+    ref = [r if i == anchor else [x - y for x, y in zip(r, ref[anchor])]
+           for i, r in enumerate(ref)]
+    same(embed_anchor(a, anchor), ref)
+    # a with its last column set for row sums 3 (up to rounding)
+    cs = DenseMatrix([list(r[:-1]) + [3.0 - sum(r[:-1])] for r in rows])
+    sums = [sum(r) for r in cs.rows]
+    assert is_constant_row_sum(cs, tol=1e-6) == sum(sums) / n
+    assert is_constant_row_sum(a) is None
+    gs = [to_float(x) + rng.uniform(-1, 1) for x in cs.diagonal()[:-1]]
+    gs.append(cs.trace() - sum(gs))
+    q = [g - x for g, x in zip(gs, cs.diagonal())]
+    same(set_diagonal_cs(cs, gs, tol=1e-6), [
+        [gs[j] if i == j else cs.rows[i][j] + q[j] for j in range(n)] for i in range(n)
+    ])

@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import diagforge.eigen
+import diagforge.matrix
+from diagforge.certify import certify
 from diagforge.eigen import char_poly, eigenvalues, match_multisets, right_eigenvector
 from diagforge.errors import CertificationError, FeasibilityError
 from diagforge.matrix import DenseMatrix
@@ -292,6 +295,88 @@ class TestCertification:
         scale = max(1.0, max(abs(z) for z in jordan))
         m = match_multisets(eigenvalues(b).values, jordan)
         assert m.max_distance <= 1e-7 * scale
+
+
+def _has_real_zero_free_eigenvector(a: np.ndarray) -> bool:
+    """Whether some real eigenvalue of the real array ``a`` has an
+    eigenvector with no zero entry (at the search's 1e-8 threshold)."""
+    w, v = np.linalg.eig(a)
+    for k in np.flatnonzero(w.imag == 0):
+        mags = np.abs(v[:, k])
+        if mags.min() > 1e-8 * mags.max():
+            return True
+    return False
+
+
+class TestRealArithmetic:
+    @pytest.mark.parametrize("kind", ["int", "float"])
+    def test_real_input_with_a_usable_real_eigenvalue_gets_a_real_output(self, kind):
+        rng = random.Random(f"real-output:{kind}")
+        checked = 0
+        for n in (4, 5, 8, 11, 16, 23, 32):
+            for _ in range(3):
+                if kind == "int":
+                    rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+                    gammas = [rng.randint(-9, 9) for _ in range(n - 1)]
+                else:
+                    rows = [[rng.uniform(-5, 5) for _ in range(n)] for _ in range(n)]
+                    gammas = [rng.uniform(-5, 5) for _ in range(n - 1)]
+                a = DenseMatrix(rows)
+                gammas.append(a.trace() - sum(gammas))
+                arr = np.array(rows, dtype=float)
+                if not _has_real_zero_free_eigenvector(arr):
+                    continue
+                checked += 1
+                b, _ = similar_with_diagonal(a, tuple(gammas))
+                assert all(type(x) is float for r in b.rows for x in r)
+                cert = certify(
+                    b, spectrum=np.linalg.eigvals(arr).tolist(), diagonal=gammas
+                )
+                assert cert.ok
+        assert checked >= 14
+
+    def test_no_real_eigenvalue_gets_a_certified_complex_output(self):
+        # rotation blocks with spectra +-i and 1 +- 2i: nothing real to pick
+        a = DenseMatrix([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, -2], [0, 0, 2, 1]])
+        gammas = (1, 0, 0, 1)
+        b, _ = similar_with_diagonal(a, gammas)
+        assert any(isinstance(x, complex) and x.imag for r in b.rows for x in r)
+        cert = certify(b, spectrum=[1j, -1j, 1 + 2j, 1 - 2j], diagonal=gammas)
+        assert cert.ok
+
+    @pytest.mark.parametrize("kind", ["int", "float"])
+    def test_facts_of_each_matrix_are_computed_once(self, kind, monkeypatch):
+        # A's rows become one array, and each matrix's array, max |entry|
+        # and realness are computed once; B is built from its array
+        conversions = []
+        remembered = []
+        real_entries_array = diagforge.matrix._entries_array
+        real_remember = DenseMatrix._remember
+
+        def entries_array(rows, exact):
+            conversions.append(len(rows))
+            return real_entries_array(rows, exact)
+
+        def remember(self, arr):
+            remembered.append(self)  # kept alive, so ids stay distinct
+            real_remember(self, arr)
+
+        monkeypatch.setattr(diagforge.matrix, "_entries_array", entries_array)
+        monkeypatch.setattr(DenseMatrix, "_remember", remember)
+        rng = random.Random(32)
+        n = 32
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if kind == "float":
+            rows = [[x + 0.5 for x in r] for r in rows]
+        a = DenseMatrix(rows)
+        gammas = [rng.randint(-9, 9) for _ in range(n - 1)]
+        gammas.append(a.trace() - sum(gammas))
+        b, _ = similar_with_diagonal(a, tuple(gammas))
+        assert conversions == [n]
+        # A, B and, for exact A, its float copy, which shares A's array
+        assert len({id(m) for m in remembered}) == len(remembered)
+        assert len(remembered) == (3 if kind == "int" else 2)
+        assert any(m is b for m in remembered)
 
 
 def test_every_tracer_patch_point_is_bound():
