@@ -11,7 +11,15 @@ rationals as "p/q" strings, complex values as two-element [re, im]
 arrays.  If every value is an integer or rational the whole problem
 runs on the exact backend; one float switches everything to floats.
 --exact insists on the exact backend and rejects float input; it also
-switches output to "p/q" strings instead of floats.
+switches output to "p/q" strings instead of floats.  An integer beyond
+the float range in a float section is invalid input.
+
+A section of plain finite JSON numbers is parsed in one pass; anything
+else (bools, strings, pairs, NaN or Infinity, a float under --exact)
+goes entry by entry through ``parse_scalar``, which reports the errors.
+A real float matrix, and a tuple of floats in a trace, are emitted as
+they are, without per-entry dispatch.  ``main`` builds the argument
+parser on its first call and reuses it.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 from .certify import certify
@@ -61,8 +70,16 @@ def parse_scalar(raw, exact_only: bool):
         im_v = parse_scalar(raw[1], exact_only)
         if isinstance(re_v, (int, Fraction)) and isinstance(im_v, (int, Fraction)):
             return exact_complex(re_v, im_v)
-        return complex(to_float(re_v), to_float(im_v))
+        return complex(_float(re_v), _float(im_v))
     raise ProblemError(f"cannot parse scalar from {raw!r}")
+
+
+def _float(v):
+    """``to_float``, with a number beyond the float range as bad input."""
+    try:
+        return to_float(v)
+    except OverflowError as exc:
+        raise ProblemError(f"cannot convert {type(v).__name__} to float: {exc}") from None
 
 
 def _coerce_section(values: list) -> list:
@@ -70,32 +87,59 @@ def _coerce_section(values: list) -> list:
     if any(isinstance(v, (float, complex)) for v in values):
         out = []
         for v in values:
-            f = to_float(v)
+            f = _float(v)
             out.append(f if isinstance(f, (float, complex)) else float(f))
         return out
     return values
 
 
+def _plain_numbers(values: list, exact_only: bool) -> Optional[list]:
+    """A section of plain JSON numbers in one pass: ``values`` as they are
+    when all are ints, all as floats when one is a float.  None when some
+    value needs ``parse_scalar`` (a bool, string, pair, non-finite float,
+    a float under ``--exact``, or an int beyond the float range among
+    floats); that path then gives the result or the error."""
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        return values
+    if exact_only or not kinds <= {int, float}:
+        return None
+    try:
+        out = values if kinds == {float} else list(map(float, values))
+    except OverflowError:
+        return None
+    # one NaN or infinity makes the sum non-finite; so may finite floats
+    # near the top of the range, which the general path then accepts
+    return out if math.isfinite(sum(out)) else None
+
+
 def parse_vector(raw, name: str, exact_only: bool) -> tuple:
     if not isinstance(raw, list) or not raw:
         raise ProblemError(f"{name!r} must be a non-empty array")
-    return tuple(_coerce_section([parse_scalar(v, exact_only) for v in raw]))
+    values = _plain_numbers(raw, exact_only)
+    if values is None:
+        values = _coerce_section([parse_scalar(v, exact_only) for v in raw])
+    return tuple(values)
 
 
 def parse_matrix(raw, exact_only: bool) -> DenseMatrix:
     if not isinstance(raw, list) or not raw:
         raise ProblemError("'matrix' must be a non-empty array of rows")
-    rows = []
-    for row in raw:
-        if not isinstance(row, list) or len(row) != len(raw):
-            raise ProblemError("'matrix' must be square, row-major")
-        rows.append([parse_scalar(v, exact_only) for v in row])
-    flat = _coerce_section([v for row in rows for v in row])
+    n = len(raw)
+    flat = None
+    if all(isinstance(row, list) and len(row) == n for row in raw):
+        flat = _plain_numbers(list(chain.from_iterable(raw)), exact_only)
+    if flat is None:
+        rows = []
+        for row in raw:
+            if not isinstance(row, list) or len(row) != n:
+                raise ProblemError("'matrix' must be square, row-major")
+            rows.append([parse_scalar(v, exact_only) for v in row])
+        flat = _coerce_section(list(chain.from_iterable(rows)))
     exact = not isinstance(flat[0], (float, complex))
     if exact:
         # _trusted takes exact entries as Fraction/ComplexRational only
         flat = [Fraction(v) if isinstance(v, int) else v for v in flat]
-    n = len(raw)
     return DenseMatrix._trusted([flat[i * n : (i + 1) * n] for i in range(n)], exact)
 
 
@@ -118,6 +162,10 @@ def load_problem(path: str) -> dict:
 
 
 def emit_scalar(v, exact_out: bool):
+    # float first, by exact type: the other checks include Fraction's
+    # slow ABCMeta isinstance
+    if type(v) is float:
+        return v
     if isinstance(v, ComplexRational):
         return [emit_scalar(v.re, exact_out), emit_scalar(v.im, exact_out)]
     if isinstance(v, complex):
@@ -137,6 +185,8 @@ def emit_nested(obj, exact_out: bool):
     if isinstance(obj, dict):
         return {k: emit_nested(v, exact_out) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        if set(map(type, obj)) <= {float}:
+            return list(obj)
         return [emit_nested(v, exact_out) for v in obj]
     if isinstance(obj, (int, float, Fraction, complex, ComplexRational)):
         return emit_scalar(obj, exact_out)
@@ -144,6 +194,9 @@ def emit_nested(obj, exact_out: bool):
 
 
 def emit_matrix(B: DenseMatrix, exact_out: bool):
+    if not B.exact and B.to_numpy().dtype.kind == "f":
+        # a real float matrix holds Python floats (the _trusted contract)
+        return [list(row) for row in B.rows]
     return [[emit_scalar(v, exact_out) for v in row] for row in B.rows]
 
 
@@ -366,9 +419,14 @@ def _glue_tol_value(argv: list) -> list:
     return out
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_glue_tol_value(sys.argv[1:] if argv is None else argv))
+    global _parser
+    if _parser is None:  # built on the first call, then reused
+        _parser = build_parser()
+    args = _parser.parse_args(_glue_tol_value(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except FeasibilityError as exc:

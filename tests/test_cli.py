@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from diagforge.cli import main, parse_matrix
 from diagforge.eigen import SpectrumEstimate
 from diagforge.errors import ConvergenceError
 from diagforge.matrix import DenseMatrix
+from diagforge.scalars import exact_complex
 
 
 def run(tmp_path, problem, *args):
@@ -553,3 +555,230 @@ class TestTolerance:
         code, doc, _ = run(tmp_path, dict(self.PROBLEM, **settings), "similar", *flags)
         assert code == 0
         assert doc["certificate"]["ok"] is True
+
+
+cli = importlib.import_module("diagforge.cli")
+
+
+def general_path(monkeypatch):
+    """Send every section through parse_scalar, as before the one-pass path."""
+    monkeypatch.setattr(cli, "_plain_numbers", lambda values, exact_only: None)
+
+
+def one_pass_only(monkeypatch):
+    """Fail any section that reaches parse_scalar."""
+
+    def forbidden(raw, exact_only):
+        raise AssertionError("the one-pass path called parse_scalar")
+
+    monkeypatch.setattr(cli, "parse_scalar", forbidden)
+
+
+class TestOnePassParse:
+    MATRICES = {
+        "int": [[4, 1, 0], [2, -1, 3], [0, 5, 2]],
+        "float": [[4.0, 1.5, 0.0], [2.0, -1.0, 3.25], [0.0, 5.0, 2.0]],
+        "mixed": [[4, 1.5, 0], [2, -1, 3], [0, 5, 2]],
+    }
+    VECTORS = {"int": [5, 1, -1], "float": [5.5, 1.0, -1.5], "mixed": [5, 1.5, -1]}
+
+    @pytest.mark.parametrize("kind", sorted(MATRICES))
+    def test_matrix_equals_the_general_path(self, kind, monkeypatch):
+        raw = self.MATRICES[kind]
+        with monkeypatch.context() as m:
+            general_path(m)
+            expected = parse_matrix(raw, False)
+        one_pass_only(monkeypatch)
+        parsed = parse_matrix(raw, False)
+        assert (parsed.exact, parsed.rows) == (expected.exact, expected.rows)
+        assert [type(x) for r in parsed.rows for x in r] == [
+            type(x) for r in expected.rows for x in r
+        ]
+        assert parsed.exact == (kind == "int")
+
+    @pytest.mark.parametrize("kind", sorted(VECTORS))
+    def test_vector_equals_the_general_path(self, kind, monkeypatch):
+        raw = self.VECTORS[kind]
+        with monkeypatch.context() as m:
+            general_path(m)
+            expected = cli.parse_vector(raw, "diagonal", False)
+        one_pass_only(monkeypatch)
+        parsed = cli.parse_vector(raw, "diagonal", False)
+        assert parsed == expected
+        assert [type(x) for x in parsed] == [type(x) for x in expected]
+        assert {type(x) for x in parsed} == ({int} if kind == "int" else {float})
+
+    @pytest.mark.parametrize(
+        "problem, flags, code, message",
+        [
+            ({"matrix": [[4, True], [2, 1]], "diagonal": [3, 2]}, [], 2,
+             "booleans are not numbers"),
+            ({"matrix": [[4.0, 1.0], [2.0, 1.0]], "diagonal": [3.0, 2.0]}, ["--exact"],
+             2, "not allowed with --exact"),
+            ({"matrix": [[4, "1/2"], [2, 1]], "diagonal": ["7/2", "3/2"]}, [], 0, None),
+            ({"matrix": [[4, [1, 2]], [[2, -1], 1]], "diagonal": [3, 2]}, [], 0, None),
+            ({"matrix": [[4, 1, 0], [2, 1]], "diagonal": [3, 2]}, [], 2,
+             "must be square"),
+            ({"matrix": [[4.0, True], [2.0, 1]], "diagonal": [3.0, 2.0]}, [], 2,
+             "booleans are not numbers"),
+            ({"matrix": [[4.0, 1.0], [2.0, 1.0]], "diagonal": [3.0, False]}, [], 2,
+             "booleans are not numbers"),
+            ({"matrix": [[4, 1], [2, 1]], "diagonal": [3.5, 1.5]}, ["--exact"], 2,
+             "not allowed with --exact"),
+            ({"matrix": [[4, 1], [2, 1]], "diagonal": ["7/2", ["3/2", 0]]}, [], 0, None),
+            # json.load reads NaN and Infinity, which json.dumps writes
+            ({"matrix": [[4.0, math.nan], [2.0, 1.0]], "diagonal": [3.0, 2.0]}, [], 2,
+             "not a finite number"),
+            ({"matrix": [[4, 1], [2, math.inf]], "diagonal": [3, 2]}, [], 2,
+             "not a finite number"),
+            ({"matrix": [[4.0, 1.0], [2.0, 1.0]], "diagonal": [3.0, -math.inf]}, [], 2,
+             "not a finite number"),
+        ],
+        ids=["bool", "exact-float", "rational", "pair", "nonsquare",
+             "float-bool", "vector-bool", "vector-exact-float", "vector-rational-pair",
+             "nan", "infinity", "vector-minus-infinity"],
+    )
+    def test_fallbacks_keep_status_and_message(
+        self, tmp_path, monkeypatch, problem, flags, code, message
+    ):
+        got = run(tmp_path, problem, "similar", *flags)
+        with monkeypatch.context() as m:
+            general_path(m)
+            expected = run(tmp_path, problem, "similar", *flags)
+        assert got == expected
+        assert got[0] == code
+        if message is not None:
+            assert got[1]["status"] == "error"
+            assert message in got[1]["error"]
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            {"matrix": [[1.5, 10**400], [2, 3]], "diagonal": [1, 3.5]},
+            {"matrix": [[1.5, 2], [2, 3]], "diagonal": [10**400, 3.5]},
+        ],
+        ids=["matrix", "vector"],
+    )
+    def test_int_beyond_the_float_range_among_floats(self, tmp_path, monkeypatch, problem):
+        code, doc, text = run(tmp_path, problem, "similar")
+        assert code == 2
+        assert doc["status"] == "error"
+        assert "too large" in doc["error"]
+        with monkeypatch.context() as m:
+            general_path(m)
+            assert run(tmp_path, problem, "similar") == (code, doc, text)
+
+
+class TestEmitMatrix:
+    def per_entry(self, B, exact_out):
+        return [[cli.emit_scalar(v, exact_out) for v in row] for row in B.rows]
+
+    def test_real_float_matrix_is_emitted_as_its_rows(self, monkeypatch):
+        B = DenseMatrix._from_array(np.array([[1.5, -2.0], [0.25, 3.0]]))
+        expected = self.per_entry(B, False)
+
+        def forbidden(v, exact_out):
+            raise AssertionError("emit_matrix went entry by entry")
+
+        monkeypatch.setattr(cli, "emit_scalar", forbidden)
+        assert cli.emit_matrix(B, False) == expected
+        assert cli.emit_matrix(DenseMatrix(B.rows), False) == expected
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1.5, complex(0, 1)], [0.25, 3.0]],
+            [[complex(1.5, 0), 2.0], [0.25, 3.0]],
+            [[Fraction(1, 2), 2], [3, Fraction(-7, 3)]],
+        ],
+        ids=["complex", "complex-zero-imaginary", "exact"],
+    )
+    @pytest.mark.parametrize("exact_out", [False, True])
+    def test_complex_and_exact_go_entry_by_entry(self, rows, exact_out, monkeypatch):
+        B = DenseMatrix(rows)
+        expected = self.per_entry(B, exact_out)
+        calls = []
+        original = cli.emit_scalar
+
+        def counted(v, exact_out):
+            calls.append(v)
+            return original(v, exact_out)
+
+        monkeypatch.setattr(cli, "emit_scalar", counted)
+        assert cli.emit_matrix(B, exact_out) == expected
+        assert len(calls) >= B.n * B.n
+
+    @pytest.mark.parametrize(
+        "v, exact_out, expected",
+        [
+            (1.5, False, "1.5"),
+            (-0.0, True, "-0.0"),
+            (3, True, "3"),
+            (Fraction(7, 2), False, "3.5"),
+            (Fraction(7, 2), True, '"7/2"'),
+            (Fraction(4), False, "4"),
+            (complex(1, -2), True, "[1.0, -2.0]"),
+            (exact_complex(Fraction(1, 2), 3), False, "[0.5, 3]"),
+            (exact_complex(Fraction(1, 2), 3), True, '["1/2", 3]'),
+        ],
+    )
+    def test_emit_scalar_for_every_type(self, v, exact_out, expected):
+        assert json.dumps(cli.emit_scalar(v, exact_out)) == expected
+
+    def test_float_tuples_in_trace_data(self, monkeypatch):
+        original = cli.emit_scalar
+
+        def no_floats(v, exact_out):
+            if type(v) is float:
+                raise AssertionError("a float tuple went entry by entry")
+            return original(v, exact_out)
+
+        monkeypatch.setattr(cli, "emit_scalar", no_floats)
+        data = {"scale": (1.0, -0.5), "rank_one": (0.25, 2.0), "i": 2}
+        assert cli.emit_nested(data, False) == {
+            "scale": [1.0, -0.5], "rank_one": [0.25, 2.0], "i": 2,
+        }
+        mixed = (complex(1, 2), Fraction(1, 2))
+        assert cli.emit_nested(mixed, True) == [[1.0, 2.0], "1/2"]
+
+
+class TestParserReuse:
+    ORDER = {"spectrum": [7, -1, [-2, 3], [-2, -3]], "diagonal": [0, 1, 0, 1]}
+    # the diagonal misses the trace by 1e-8: within --tol 1e-6, not the default
+    TOL = {"matrix": [[4.0, 1.0], [2.0, 1.0]], "diagonal": [3.0, 2.00000001]}
+
+    def test_built_once_across_calls(self, tmp_path, monkeypatch):
+        built = []
+        original = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counted)
+        for _ in range(3):
+            assert run(tmp_path, self.ORDER, "realize")[0] == 0
+        assert run(tmp_path, self.TOL, "similar", "--tol", "1e-6")[0] == 0
+        assert len(built) == 1
+
+    @pytest.mark.parametrize(
+        "problem, command, first, second",
+        [
+            (ORDER, "realize", ["--order", "keep"], []),
+            (ORDER, "realize", [], ["--order", "keep"]),
+            (TOL, "similar", ["--tol", "1e-6"], []),
+            (ORDER, "realize", ["--exact"], []),
+            (ORDER, "realize", ["--exact", "--order", "keep"], ["--order", "auto"]),
+        ],
+        ids=["order", "order-after-none", "tol", "exact", "exact-and-order"],
+    )
+    def test_no_flag_leaks_into_the_next_call(
+        self, tmp_path, monkeypatch, problem, command, first, second
+    ):
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh = run(tmp_path, problem, command, *second)
+        monkeypatch.setattr(cli, "_parser", None)
+        before = run(tmp_path, problem, command, *first)
+        assert before != fresh
+        assert run(tmp_path, problem, command, *second) == fresh
