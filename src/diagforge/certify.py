@@ -4,11 +4,13 @@ Every check here goes through the eigenvalue engine and the matrix's
 own entries; nothing is taken on trust from the construction that
 produced the matrix.  An exact matrix checked against exact targets is
 judged in exact arithmetic throughout: its spectrum by characteristic
-polynomial identity (``eigen.same_char_poly``: one Hessenberg run modulo
-a proven prime above a Hadamard-type bound, else over Q or Q(i)), with no
-tolerance and no root finding.  Certification never raises on a bad
-matrix: the result carries a verdict per requested check plus the
-residuals that justify it, so callers can decide what a failure means.
+polynomial identity (``eigen.same_char_poly``: for rational entries one
+Hessenberg run modulo every word-size prime it needs, in one numpy
+kernel, with the primes' product above a Hadamard-type bound; else over
+Q or Q(i)), with no tolerance and no root finding.  Certification never
+raises on a bad matrix: the result carries a verdict per requested check
+plus the residuals that justify it, so callers can decide what a failure
+means.
 """
 
 from __future__ import annotations
@@ -95,12 +97,13 @@ def certify(
     exact and every spectrum target is exact, the spectrum check is
     ``char_poly(B) == prod(t - target)``, decided exactly by
     ``eigen.same_char_poly`` against a matrix built from the targets
-    (modulo one proven prime above a Hadamard-type bound when B and the
-    targets are rational, else over Q or Q(i)); for a real B targets not
-    closed under conjugation fail.  Otherwise spectrum matching uses the
-    eigenvalue engine plus greedy closest-first pairing, judged against
-    SPECTRUM_REL_TOL times the largest target modulus (at least 1).
-    Never raises on a failing check.
+    (modulo word-size primes whose product exceeds a Hadamard-type bound
+    when B and the targets are rational, else over Q or Q(i)); for a
+    real B targets not closed under conjugation fail.  Otherwise
+    spectrum matching uses the eigenvalue engine plus greedy
+    closest-first pairing, judged against SPECTRUM_REL_TOL times the
+    largest target modulus (at least 1).  Never raises on a failing
+    check.
     """
     checks: dict = {}
     thresholds: dict = {}

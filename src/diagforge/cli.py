@@ -12,7 +12,8 @@ arrays.  If every value is an integer or rational the whole problem
 runs on the exact backend; one float switches everything to floats.
 --exact insists on the exact backend and rejects float input; it also
 switches output to "p/q" strings instead of floats.  An integer beyond
-the float range in a float section is invalid input.
+the float range in a float section is invalid input, and so is one in an
+exact ``similar`` problem that takes the float route.
 
 A section of plain finite JSON numbers is parsed in one pass; anything
 else (bools, strings, pairs, NaN or Infinity, a float under --exact)

@@ -1,18 +1,22 @@
 """Dense eigenvalue engine used to certify every construction in the package.
 
 Exact outputs are certified by characteristic-polynomial identity, with
-no root finding: :func:`same_char_poly` runs the Hessenberg reduction and
-recurrence once modulo one proven prime (2^521 - 1, 2^607 - 1 or
-2^1279 - 1) above a Hadamard-type bound on the coefficients, and falls
-back to the exact characteristic polynomial over Q or Q(i) for complex
-entries or a bound beyond the largest prime.  Float spectra of float
-matrices (and exact complex ones) come from LAPACK through
-``numpy.linalg.eigvals``; for real input the values are then paired
-into exact conjugates.  Float spectra of real exact-backend matrices,
-which tests and checks against float targets use, come from the exact
-characteristic polynomial split into square-free factors, each solved
-by ``numpy.roots``, so the solver only ever sees simple roots and a
-multiple eigenvalue costs no accuracy.
+no root finding: for rational matrices :func:`same_char_poly` runs the
+Hessenberg reduction and recurrence on int64 residues modulo the fewest
+table primes below 2^26 whose product exceeds a Hadamard-type bound on
+the coefficients, all primes and both matrices in one numpy kernel.  It
+compares the exact characteristic polynomials over Q or Q(i) only for
+complex entries, more than 2^11 rows or a bound beyond the whole table.
+The exact polynomial itself (:func:`char_poly`) is computed over Q or
+Q(i).
+
+Float spectra of float matrices (and exact complex ones) come from
+LAPACK through ``numpy.linalg.eigvals``; for real input the values are
+then paired into exact conjugates.  Float spectra of real exact-backend
+matrices, which tests and checks against float targets use, come from
+the exact characteristic polynomial split into square-free factors, each
+solved by ``numpy.roots``, so the solver only ever sees simple roots and
+a multiple eigenvalue costs no accuracy.
 
 Right eigenvectors come from inverse iteration, and are real for a real
 eigenvalue of a real matrix.  For a constant-row-sum matrix
@@ -28,6 +32,7 @@ modulus and realness from the matrix, which computes them once.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -172,9 +177,7 @@ def char_poly(A: DenseMatrix) -> list:
     return _hessenberg_char_poly(A.rows)
 
 
-def _hessenberg_char_poly(
-    rows: Sequence[Sequence], prime: Optional[int] = None
-) -> list:
+def _hessenberg_char_poly(rows: Sequence[Sequence]) -> list:
     """Exact characteristic polynomial of a square matrix of exact scalars.
 
     The matrix is brought to upper Hessenberg form H by Gaussian
@@ -187,15 +190,11 @@ def _hessenberg_char_poly(
               - sum_{i<k} h_ik (h_{i+1,i} ... h_{k,k-1}) p_{i-1}
 
     (Cohen, A Course in Computational Algebraic Number Theory, 2.2.9).
-
-    With a ``prime`` p the entries are residues in [0, p) and the same
-    steps run in Z/pZ: every updated row, the updated column and every
-    p_k are reduced once, pivots are nonzero residues, and the result is
-    the char poly's coefficients as residues mod p.
+    :func:`_char_polys_mod` runs the same steps on residues.
     """
     H = [list(r) for r in rows]
     n = len(H)
-    zero, one = (0, 1) if prime else (Fraction(0), Fraction(1))
+    zero, one = Fraction(0), Fraction(1)
     for m in range(1, n - 1):
         piv = next((i for i in range(m, n) if H[i][m - 1]), None)
         if piv is None:
@@ -205,25 +204,18 @@ def _hessenberg_char_poly(
             for r in H:
                 r[piv], r[m] = r[m], r[piv]
         row_m = H[m]
-        inv = pow(row_m[m - 1], -1, prime) if prime else 1 / row_m[m - 1]
+        inv = 1 / row_m[m - 1]
         for i in range(m + 1, n):
             row_i = H[i]
             if not row_i[m - 1]:
                 continue
             u = row_i[m - 1] * inv
-            if prime:
-                u %= prime
             for j in range(m - 1, n):
                 if row_m[j]:
                     row_i[j] -= u * row_m[j]
-            if prime:
-                row_i[m - 1 :] = [x % prime for x in row_i[m - 1 :]]
             for r in H:
                 if r[i]:
                     r[m] += u * r[i]
-        if prime:
-            for r in H:
-                r[m] %= prime
     # polys[k] holds p_k lowest degree first
     polys = [[one]]
     for k in range(n):
@@ -236,53 +228,116 @@ def _hessenberg_char_poly(
         prod = one
         for i in range(k - 1, -1, -1):
             prod = prod * H[i + 1][i]
-            if prime:
-                prod %= prime
             if not prod:
                 break
             coef = H[i][k] * prod
             if coef:
                 for d, c in enumerate(polys[i]):
                     p[d] -= coef * c
-        if prime:
-            p = [c % prime for c in p]
         polys.append(p)
     return polys[n][::-1]
 
 
-# Proven primes (the Mersenne primes 2^521 - 1, 2^607 - 1 and 2^1279 - 1),
-# smallest first, for deciding char-poly identity by one modular run.
-IDENTITY_PRIMES = tuple((1 << e) - 1 for e in (521, 607, 1279))
+# Word-size primes for the identity: every one lies in
+# [2^26 - 2^16, 2^26), so a product of two residues is below 2^52 and a
+# sum of up to 2^11 such products is exact in int64.
+_PRIME_TOP = 1 << 26
+_PRIME_WINDOW = 1 << 16
+_PRIME_FLOOR_BITS = 25  # every table prime exceeds 2^25
+KERNEL_MAX_N = 1 << 11
+_LIMB_BITS = 16
+_LIMB_BLOCK = 16  # limbs per matmul against the power table
+
+
+@functools.lru_cache(maxsize=None)
+def _table_primes() -> np.ndarray:
+    """Every prime in [2^26 - 2^16, 2^26), largest first (3,650 of them),
+    by a sieve of that window with the primes up to 2^13; read-only."""
+    lo = _PRIME_TOP - _PRIME_WINDOW
+    root = math.isqrt(_PRIME_TOP)
+    small = np.ones(root + 1, dtype=bool)
+    small[:2] = False
+    for q in range(2, math.isqrt(root) + 1):
+        if small[q]:
+            small[q * q :: q] = False
+    window = np.ones(_PRIME_WINDOW, dtype=bool)
+    for q in np.flatnonzero(small).tolist():
+        window[-lo % q :: q] = False
+    primes = lo + np.flatnonzero(window)[::-1].astype(np.int64)
+    primes.flags.writeable = False
+    return primes
+
+
+@functools.lru_cache(maxsize=None)
+def _powers() -> np.ndarray:
+    """2^(16 j) mod p for j < _LIMB_BLOCK (rows) and every table prime
+    (columns); read-only."""
+    primes = _table_primes()
+    rows = [np.ones_like(primes)]
+    for _ in range(_LIMB_BLOCK - 1):
+        rows.append((rows[-1] << _LIMB_BITS) % primes)
+    table = np.array(rows)
+    table.flags.writeable = False
+    return table
+
+
+def _table_residues(values: list, columns) -> np.ndarray:
+    """Python integers modulo the table primes at ``columns`` (an index
+    or slice), one row per value.  Each value is split into 16-bit two's
+    complement limbs (the top limb signed); each block of _LIMB_BLOCK
+    limbs is one matmul against the power table, and the blocks are
+    joined by Horner's rule in 2^(16 _LIMB_BLOCK) mod p."""
+    top = max(max(values, default=0), -min(values, default=0))
+    limbs = top.bit_length() // _LIMB_BITS + 1
+    raw = b"".join(v.to_bytes(2 * limbs, "little", signed=True) for v in values)
+    digits = np.frombuffer(raw, dtype="<u2").reshape(len(values), limbs)
+    digits = digits.astype(np.int64)
+    digits[:, -1] = np.frombuffer(raw, dtype="<i2")[limbs - 1 :: limbs]
+    primes = _table_primes()[columns]
+    powers = _powers()[:, columns]
+    shift = (powers[-1] << _LIMB_BITS) % primes  # 2^(16 _LIMB_BLOCK) mod p
+    res = 0
+    for j in reversed(range(0, limbs, _LIMB_BLOCK)):
+        block = digits[:, j : j + _LIMB_BLOCK]
+        part = block @ powers[: block.shape[1]]
+        part += res * shift
+        part %= primes
+        res = part
+    return res
 
 
 def same_char_poly(X: DenseMatrix, Y: DenseMatrix) -> bool:
     """Whether ``char_poly(X) == char_poly(Y)`` for two exact matrices.
 
     Decided exactly and deterministically by one Hessenberg run of each
-    matrix modulo a prime P.  For each matrix Z let r_i be the lcm of the
-    denominators in row i, L_Z = prod r_i and
-    H_Z = prod (r_i + ceil(||r_i row_i(Z)||_2)).  With D = diag(r_i),
-    L_Z c_k(Z) is a coefficient of det(t D - D Z), an integer polynomial
-    whose coefficients are at most H_Z in modulus (expand by rows and
-    bound each principal minor of D Z by Hadamard's inequality).  So
-    L_X L_Y (c_k(X) - c_k(Y)) is an integer of modulus at most
-    M = L_Y H_X + L_X H_Y.  P is the smallest of ``IDENTITY_PRIMES``
-    above M: then the identity mod P is the identity over Q, and P
-    divides no denominator (every r_i <= M).
+    matrix modulo a set of word-size primes whose product exceeds a
+    bound M.  For each matrix Z let r_i be the lcm of the denominators in
+    row i, L_Z = prod r_i and H_Z = prod (r_i + ceil(||r_i row_i(Z)||_2)).
+    With D = diag(r_i), L_Z c_k(Z) is a coefficient of det(t D - D Z), an
+    integer polynomial whose coefficients are at most H_Z in modulus
+    (expand by rows and bound each principal minor of D Z by Hadamard's
+    inequality).  So L_X L_Y (c_k(X) - c_k(Y)) is an integer of modulus
+    at most M = L_Y H_X + L_X H_Y.  The primes are the fewest of the
+    table (largest first) whose product exceeds M, skipping any that
+    divides an r_i; each then divides L_X L_Y (c_k(X) - c_k(Y)) exactly
+    when the coefficients agree modulo it, so agreement modulo all of
+    them is the identity over Q.  :func:`_char_polys_mod` runs X's and
+    Y's residues modulo every chosen prime in one call.
 
-    When an entry is not rational (a ``ComplexRational``) or M exceeds
-    the largest prime, the answer is ``char_poly(X) == char_poly(Y)``
-    over Q or Q(i).
+    When an entry is not rational (a ``ComplexRational``), the size
+    exceeds ``KERNEL_MAX_N`` or M exceeds what the table can cover, the
+    answer is ``char_poly(X) == char_poly(Y)`` over Q or Q(i).
     """
+    if X.n != Y.n:
+        return False
     scaled = [_integer_rows(Z) for Z in (X, Y)]
-    if None not in scaled:
+    if None not in scaled and X.n <= KERNEL_MAX_N:
         (rows_x, l_x, h_x), (rows_y, l_y, h_y) = scaled
-        bound = l_y * h_x + l_x * h_y
-        prime = next((p for p in IDENTITY_PRIMES if p > bound), None)
-        if prime is not None:
-            return _hessenberg_char_poly(
-                _residues(rows_x, prime), prime
-            ) == _hessenberg_char_poly(_residues(rows_y, prime), prime)
+        stack = _residue_stack(rows_x + rows_y, l_y * h_x + l_x * h_y)
+        if stack is not None:
+            polys = _char_polys_mod(*stack)
+            half = len(polys) // 2
+            return bool(np.array_equal(polys[:half], polys[half:]))
     return char_poly(X) == char_poly(Y)
 
 
@@ -306,17 +361,116 @@ def _integer_rows(Z: DenseMatrix):
     return out, lcm_prod, height
 
 
-def _residues(scaled_rows, prime: int) -> list:
-    """The rows r_i^-1 (r_i row_i) reduced mod ``prime``, one inverse per
-    distinct r_i."""
-    inverses: dict = {}
-    out = []
-    for r, ints in scaled_rows:
-        if r not in inverses:
-            inverses[r] = pow(r, -1, prime)
-        inv = inverses[r]
-        out.append([v * inv % prime for v in ints])
+def _residue_stack(scaled_rows: list, bound: int):
+    """X's rows then Y's, given as (r_i, r_i row_i) pairs, reduced modulo
+    the fewest table primes that divide no r_i and whose product exceeds
+    ``bound``: a (2K, n, n) int64 stack, X's K slices first, and its K
+    primes twice over; None when the table holds too few such primes.
+
+    Any ceil(bits(bound) / 25) table primes multiply past the bound, and
+    at most bits(r) // 25 of them divide r, so the primes come from the
+    first ``count`` of the table.
+    """
+    lcms = [r for r, _ in scaled_rows]
+    distinct = list(dict.fromkeys(lcms))
+    primes = _table_primes()
+    count = -(-bound.bit_length() // _PRIME_FLOOR_BITS) + sum(
+        r.bit_length() // _PRIME_FLOOR_BITS for r in distinct
+    )
+    lcm_res = _table_residues(distinct, slice(0, count))
+    chosen, prod = [], 1
+    for j in np.flatnonzero(lcm_res.all(axis=0)).tolist():
+        if prod > bound:
+            break
+        chosen.append(j)
+        prod *= int(primes[j])
+    if prod <= bound:
+        return None
+    primes = primes[chosen]
+    K, n = len(chosen), len(lcms) // 2
+    inv = _inverses(lcm_res[:, chosen], primes)
+    index = {r: i for i, r in enumerate(distinct)}
+    inv = inv[[index[r] for r in lcms]]
+    ints = _table_residues([v for _, row in scaled_rows for v in row], chosen)
+    ints = ints.reshape(2 * n, n, K)
+    ints *= inv[:, None, :]
+    ints %= primes
+    stack = ints.reshape(2, n, n, K).transpose(0, 3, 1, 2).reshape(2 * K, n, n)
+    return stack, np.concatenate([primes, primes])
+
+
+def _inverses(a: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """Inverses of the nonzero residues ``a`` modulo ``primes`` (one per
+    column), with one ``pow`` per column: invert the product of each
+    column and peel it off row by row (Montgomery's trick)."""
+    prefix = [np.ones_like(primes)]
+    for row in a:
+        prefix.append(prefix[-1] * row % primes)
+    inv = np.array(
+        [pow(x, -1, p) for x, p in zip(prefix[-1].tolist(), primes.tolist())],
+        dtype=np.int64,
+    )
+    out = np.empty_like(a)
+    for i in range(len(a) - 1, -1, -1):
+        out[i] = inv * prefix[i] % primes
+        inv = inv * a[i] % primes
     return out
+
+
+def _char_polys_mod(H: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """The char poly of each slice H[s] modulo primes[s], as residues
+    lowest degree first: an (S, n + 1) array.  H is overwritten.
+
+    The steps of :func:`_hessenberg_char_poly` on all slices at once.
+    Each slice pivots on the first nonzero entry of its own sub-column,
+    with its own row and column swap, and a slice whose sub-column is
+    zero takes the step with multipliers 0.  Entries stay in [0, p); a
+    product of two is below 2^52, so every sum of up to KERNEL_MAX_N of
+    them is exact in int64.
+    """
+    S, n, _ = H.shape
+    at = np.arange(S)
+    p1, p2 = primes[:, None], primes[:, None, None]
+    plist = primes.tolist()
+    for m in range(1, n - 1):
+        if not H[:, m, m - 1].all():
+            piv = m + (H[:, m:, m - 1] != 0).argmax(axis=1)
+            row = H[at, piv].copy()
+            H[at, piv] = H[:, m]
+            H[:, m] = row
+            col = H[at, :, piv].copy()
+            H[at, :, piv] = H[:, :, m]
+            H[:, :, m] = col
+        inv = np.array(
+            [pow(a, -1, p) if a else 0 for a, p in zip(H[:, m, m - 1].tolist(), plist)],
+            dtype=np.int64,
+        )
+        u = H[:, m + 1 :, m - 1] * inv[:, None] % p1
+        H[:, m + 1 :, m - 1 :] -= u[:, :, None] * H[:, m : m + 1, m - 1 :]
+        H[:, m + 1 :, m - 1 :] %= p2
+        H[:, :, m] += (H[:, :, m + 1 :] @ u[:, :, None])[:, :, 0]
+        H[:, :, m] %= p1
+    # prods[:, i, k] = h_{i+1,i} ... h_{k,k-1} for i <= k, and 0 below
+    prods = np.zeros_like(H)
+    prods[:, range(n), range(n)] = 1
+    for k in range(1, n):
+        prods[:, :k, k] = prods[:, :k, k - 1] * H[:, k, k - 1 : k] % p1
+    # H becomes the negated weights -h_ik prods[:, i, k] mod p
+    H *= prods
+    H %= p2
+    np.negative(H, out=H)
+    H %= p2
+    # polys[:, k] holds p_k lowest degree first, t p_{k-1} plus the
+    # negated weights times p_0 ... p_{k-1}: sums of nonnegative residues
+    polys = np.zeros((S, n + 1, n + 1), dtype=np.int64)
+    polys[:, 0, 0] = 1
+    for k in range(n):
+        polys[:, k + 1, : k + 2] = (
+            H[:, None, : k + 1, k] @ polys[:, : k + 1, : k + 2]
+        )[:, 0]
+        polys[:, k + 1, 1 : k + 2] += polys[:, k, : k + 1]
+        polys[:, k + 1] %= p1
+    return polys[:, n]
 
 
 # ---------------------------------------------------------------------------

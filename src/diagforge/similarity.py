@@ -288,8 +288,8 @@ def similar_with_diagonal(
     n = A.n
     if target.n != n:
         raise ValueError("diagonal length must match matrix size")
-    scale = max(1.0, A.max_abs())
-    if A.is_scalar_matrix(tol=1e-12 * scale):
+    # an exact matrix is compared exactly, and need not fit in a float
+    if A.is_scalar_matrix(tol=0.0 if A.exact else 1e-12 * max(1.0, A.max_abs())):
         raise FeasibilityError(
             "scalar matrix: every similar matrix is A itself",
             condition="scalar-input",
@@ -328,9 +328,19 @@ def similar_with_diagonal(
     # float route: A's array, built once, serves every step up to B
     from .eigen import all_nonzero_eigenvector, eigenvalues
 
-    Af = A.to_float()
+    try:
+        Af = A.to_float()
+    except OverflowError:
+        raise ValueError(
+            "matrix entry beyond the float range, which the float route needs"
+        ) from None
     spec_a = eigenvalues(Af)
-    gf = tuple(to_float(g) for g in target.gammas)
+    try:
+        gf = tuple(to_float(g) for g in target.gammas)
+    except OverflowError:
+        raise ValueError(
+            "diagonal entry beyond the float range, which the float route needs"
+        ) from None
     if A.exact:
         steps.append(TraceStep("to_float"))
     M = Af.to_numpy()
@@ -363,8 +373,9 @@ def _certified(A, B, target, steps, spec_a=None):
 
     The diagonal must equal the target exactly.  An exact B must have the
     same characteristic polynomial as A, with no tolerance: decided by
-    :func:`~diagforge.eigen.same_char_poly`, modulo one proven prime above
-    a Hadamard-type bound for rational entries, else over Q or Q(i).
+    :func:`~diagforge.eigen.same_char_poly`, modulo word-size primes whose
+    product exceeds a Hadamard-type bound for rational entries, else over
+    Q or Q(i).
     A float B must have a float spectrum within
     SPECTRUM_REL_TOL (relative to the largest modulus in ``spec_a``) of
     ``spec_a``, the float spectrum of A computed by the caller.  A

@@ -7,7 +7,7 @@ import pytest
 import diagforge.eigen
 from diagforge.certify import certify
 from diagforge.matrix import DenseMatrix
-from diagforge.nonneg import realize_suleimanova
+from diagforge.nonneg import realize_mixed, realize_suleimanova
 from diagforge.scalars import exact_complex
 
 GOOD = realize_suleimanova([5, -1, -2], (1, 1, 0))  # [[1,2,2],[2,1,2],[3,2,0]]
@@ -175,6 +175,22 @@ def wedge_24():
     return realize_suleimanova(spectrum, gammas), spectrum, gammas
 
 
+def chain_18():
+    """A mixed Smigoc realization at n = 18 (six wide pairs, three reals
+    and one narrow pair), as the chain-exact benchmark workload builds
+    them; its identity bound is past 2^1279."""
+    reals = [-Fraction(k + 1, 2) for k in range(3)]
+    pairs = [(Fraction(3, 2), Fraction(3, 10))]
+    pairs += [(Fraction(k % 5 + 1, 2), Fraction(11 + k, 10)) for k in range(6)]
+    spectrum = [-sum(reals) + sum(2 * x for x, _ in pairs) + Fraction(5, 2)]
+    spectrum += reals
+    for x, y in pairs:
+        spectrum += [exact_complex(-x, x * y), exact_complex(-x, -x * y)]
+    weights = [(7 * k) % 10 for k in range(18)]
+    gammas = [sum(spectrum) * Fraction(w, sum(weights)) for w in weights]
+    return spectrum, gammas
+
+
 class TestModularIdentity:
     @pytest.fixture(autouse=True)
     def no_char_poly(self, monkeypatch):
@@ -199,6 +215,30 @@ class TestModularIdentity:
             "row_sum_deviation": 0.0,
             "computed_spectrum": [],
         }
+
+    def test_chain_realization_at_18_keeps_its_certificate(self, monkeypatch):
+        spectrum, gammas = chain_18()
+        original, bounds = diagforge.eigen._residue_stack, []
+
+        def spy(rows, bound):
+            bounds.append(bound)
+            return original(rows, bound)
+
+        monkeypatch.setattr(diagforge.eigen, "_residue_stack", spy)
+        B, plan = realize_mixed(spectrum, gammas, order="auto")
+        assert B.n == 18 and max(bounds).bit_length() > 1279
+        monkeypatch.undo()
+        # the same checks with the identity decided over Q
+        monkeypatch.setattr(
+            importlib.import_module("diagforge.certify"), "same_char_poly",
+            lambda X, Y: diagforge.eigen.char_poly(X) == diagforge.eigen.char_poly(Y),
+        )
+        over_q = certify(
+            B, spectrum=spectrum, diagonal=gammas, nonneg=True, constant_row_sums=True
+        )
+        assert plan.certificate == over_q
+        assert plan.certificate.to_dict() == over_q.to_dict()
+        assert over_q.ok and over_q.spectrum_residual == 0.0
 
     def test_wedge_targets_missing_a_conjugate_are_rejected(self):
         B, spectrum, _ = wedge_24()

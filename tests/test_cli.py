@@ -669,6 +669,31 @@ class TestOnePassParse:
             assert run(tmp_path, problem, "similar") == (code, doc, text)
 
 
+class TestExactBeyondTheFloatRange:
+    @pytest.mark.parametrize("flags", [(), ("--exact",)], ids=["plain", "exact"])
+    @pytest.mark.parametrize(
+        "problem, section",
+        [
+            ({"matrix": [[10**400, 1], [2, 3]], "diagonal": [10**400, 3]}, "matrix"),
+            ({"matrix": [[1, 1], [2, 3]], "diagonal": [10**400, 4 - 10**400]}, "diagonal"),
+        ],
+        ids=["matrix", "diagonal"],
+    )
+    def test_float_route_reports_invalid_input(self, tmp_path, problem, section, flags):
+        # an exact problem that takes the float route cannot convert it
+        code, doc, _ = run(tmp_path, problem, "similar", *flags)
+        assert code == 2
+        assert doc["status"] == "error"
+        assert doc["error"].startswith(f"{section} entry beyond the float range")
+
+    def test_exact_route_needs_no_float(self, tmp_path):
+        # a diagonal matrix takes the exact route, floats never enter
+        problem = {"matrix": [[10**400, 0], [0, 3]], "diagonal": [3, 10**400]}
+        code, doc, _ = run(tmp_path, problem, "similar", "--exact")
+        assert code == 0
+        assert [doc["matrix"][i][i] for i in range(2)] == [3, 10**400]
+
+
 class TestEmitMatrix:
     def per_entry(self, B, exact_out):
         return [[cli.emit_scalar(v, exact_out) for v in row] for row in B.rows]

@@ -8,7 +8,6 @@ import pytest
 
 import diagforge.eigen
 from diagforge.eigen import (
-    IDENTITY_PRIMES,
     MatchResult,
     all_nonzero_eigenvector,
     char_poly,
@@ -147,13 +146,19 @@ def test_exact_char_poly_branches_match_faddeev(rows):
     assert_exact_char_poly_matches_oracle(DenseMatrix(rows))
 
 
-def test_identity_primes_are_mersenne_primes_by_lucas_lehmer():
-    assert IDENTITY_PRIMES == tuple((1 << e) - 1 for e in (521, 607, 1279))
-    for e in (521, 607, 1279):
-        p, s = (1 << e) - 1, 4
-        for _ in range(e - 2):
-            s = (s * s - 2) % p
-        assert s == 0
+TABLE = [int(p) for p in diagforge.eigen._table_primes()]
+
+
+def test_table_primes_are_prime_by_trial_division():
+    primes = diagforge.eigen._table_primes()
+    assert len(primes) > 3000
+    # largest first and distinct, all in (2^25, 2^26): the prime count
+    # and the int64 bounds of the kernel rest on that window
+    assert (np.diff(primes) < 0).all()
+    assert 2**25 < primes[-1] and primes[0] < 2**26
+    divisors = np.arange(2, math.isqrt(2**26) + 1)
+    for chunk in np.array_split(divisors, 32):
+        assert (primes[:, None] % chunk[None, :]).all()
 
 
 def transvection_conjugate(rows, rng):
@@ -215,12 +220,7 @@ def test_same_char_poly_on_rationals_is_the_char_poly_identity(monkeypatch):
     assert [same_char_poly(x, y) for x, y, _ in cases] == want
 
 
-def test_same_char_poly_falls_back_over_gaussian_rationals(monkeypatch):
-    cases = same_char_poly_cases(random.Random(20261020), 0.4, max_n=5)
-    cases = [(x, y) for x, y, _ in cases if not (x.is_real() and y.is_real())]
-    assert len(cases) >= 40
-    want = [char_poly(x) == char_poly(y) for x, y in cases]
-    assert True in want and False in want
+def count_char_poly(monkeypatch):
     original, calls = diagforge.eigen.char_poly, []
 
     def counted(a):
@@ -228,6 +228,16 @@ def test_same_char_poly_falls_back_over_gaussian_rationals(monkeypatch):
         return original(a)
 
     monkeypatch.setattr(diagforge.eigen, "char_poly", counted)
+    return calls
+
+
+def test_same_char_poly_falls_back_over_gaussian_rationals(monkeypatch):
+    cases = same_char_poly_cases(random.Random(20261020), 0.4, max_n=5)
+    cases = [(x, y) for x, y, _ in cases if not (x.is_real() and y.is_real())]
+    assert len(cases) >= 40
+    want = [char_poly(x) == char_poly(y) for x, y in cases]
+    assert True in want and False in want
+    calls = count_char_poly(monkeypatch)
     assert [same_char_poly(x, y) for x, y in cases] == want
     assert len(calls) == 2 * len(cases)
 
@@ -259,21 +269,108 @@ def test_same_char_poly_branches_against_the_companion_matrix(rows):
     assert not same_char_poly(x, companion(coeffs))
 
 
-P521, P607, P1279 = IDENTITY_PRIMES
+P521, P607, P1279 = ((1 << e) - 1 for e in (521, 607, 1279))
+TABLE_PREFIXES = (1, 2, 5, 20, 80)
 
 
 @pytest.mark.parametrize(
     "value",
-    [P521, P607, P1279, P521 * P607 * P1279],
-    ids=["p521", "p607", "p1279", "p521-p607-p1279"],
+    [P521, P607, P1279, P521 * P607 * P1279]
+    + [math.prod(TABLE[:j]) for j in TABLE_PREFIXES],
+    ids=["p521", "p607", "p1279", "p521-p607-p1279"]
+    + [f"table-{j}" for j in TABLE_PREFIXES],
 )
 def test_same_char_poly_rejects_a_difference_divisible_by_the_primes(value):
-    # t and t - value agree modulo every prime that divides value
+    # t and t - value agree modulo every prime that divides value; the
+    # product of the first j table primes is below the bound, so the
+    # identity must reach prime j + 1
     assert not same_char_poly(DenseMatrix([[0]]), DenseMatrix([[value]]))
     assert not same_char_poly(
         DenseMatrix([[1, 0], [0, 0]]), DenseMatrix([[1, 0], [0, value]])
     )
     assert same_char_poly(DenseMatrix([[value]]), DenseMatrix([[value]]))
+
+
+def spy_on_primes(monkeypatch):
+    """Record the primes of every modular char-poly run."""
+    original, used = diagforge.eigen._char_polys_mod, []
+
+    def spy(H, primes):
+        used.extend(primes.tolist())
+        return original(H, primes)
+
+    monkeypatch.setattr(diagforge.eigen, "_char_polys_mod", spy)
+    return used
+
+
+def test_a_table_prime_dividing_a_row_lcm_is_skipped(monkeypatch):
+    p0, p1 = TABLE[:2]
+    x = DenseMatrix(
+        [[Fraction(1, p0), 2, 0], [3, Fraction(5, p0 * p1), 1], [1, 1, Fraction(1, 3)]]
+    )
+    y = transvection_conjugate(x.rows, random.Random(20261020))
+    changed = [list(r) for r in y.rows]
+    changed[2][0] += Fraction(1, 7)
+    used = spy_on_primes(monkeypatch)
+    assert same_char_poly(x, y)
+    assert not same_char_poly(x, DenseMatrix(changed))
+    assert used and p0 not in used and p1 not in used
+    assert TABLE[2] in used
+
+
+P0 = TABLE[0]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # the (1, 0) pivot is 0 modulo P0 only: that slice swaps in row 2
+        [[1, 2, 3], [P0, 4, 5], [6, 7, 8]],
+        # the whole sub-column is 0 modulo P0 only: that slice skips the step
+        [[1, 2, 3], [P0, 4, 5], [2 * P0, 7, 8]],
+        # modulo P0 the first nonzero sub-column entry is in row 3
+        [[1, 2, 3, 4], [P0, 5, 6, 7], [3 * P0, 8, 9, 1], [3, 1, 4, Fraction(1, 5)]],
+    ],
+)
+def test_a_pivot_vanishing_modulo_one_prime(rows, monkeypatch):
+    x = DenseMatrix(rows)
+    coeffs = char_poly(x)
+    used = spy_on_primes(monkeypatch)
+    assert same_char_poly(x, companion(coeffs))
+    coeffs[-1] += Fraction(1, 7)
+    assert not same_char_poly(x, companion(coeffs))
+    assert P0 in used
+
+
+def test_sizes_0_and_1_are_decided_without_char_poly(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("rational input fell back to char_poly")
+
+    monkeypatch.setattr(diagforge.eigen, "char_poly", forbidden)
+    empty = DenseMatrix._trusted([], True)
+    a, b = DenseMatrix([[Fraction(5, 3)]]), DenseMatrix([[Fraction(5, 4)]])
+    assert same_char_poly(empty, empty)
+    assert same_char_poly(a, a)
+    assert not same_char_poly(a, b)
+    assert not same_char_poly(empty, a)
+
+
+def test_sizes_past_the_kernel_limit_fall_back_to_q(monkeypatch):
+    monkeypatch.setattr(diagforge.eigen, "KERNEL_MAX_N", 3)
+    calls = count_char_poly(monkeypatch)
+    small = DenseMatrix([[1, 2, 3], [0, 4, 5], [6, 7, Fraction(8, 3)]])
+    big = DenseMatrix([[0, 1, 0, 2], [0, 0, 3, 1], [0, 0, 0, 4], [5, 0, 0, 0]])
+    assert same_char_poly(small, companion(char_poly(small)))
+    assert not calls
+    assert same_char_poly(big, companion(char_poly(big)))
+    assert len(calls) == 2
+
+
+def test_a_bound_beyond_the_table_falls_back_to_q(monkeypatch):
+    value = 1 << (26 * len(TABLE))
+    calls = count_char_poly(monkeypatch)
+    assert not same_char_poly(DenseMatrix([[0]]), DenseMatrix([[value]]))
+    assert len(calls) == 2
 
 
 def test_char_poly_rejects_a_float_matrix():
