@@ -3,14 +3,18 @@
 Every check here goes through the eigenvalue engine and the matrix's
 own entries; nothing is taken on trust from the construction that
 produced the matrix.  An exact matrix checked against exact targets is
-judged in exact arithmetic throughout: its spectrum by characteristic
-polynomial identity (``eigen.same_char_poly``: for rational entries one
-Hessenberg run modulo every word-size prime it needs, in one numpy
-kernel, with the primes' product above a Hadamard-type bound; else over
-Q or Q(i)), with no tolerance and no root finding.  Certification never
-raises on a bad matrix: the result carries a verdict per requested check
-plus the residuals that justify it, so callers can decide what a failure
-means.
+judged in exact arithmetic throughout, with no tolerance and no root
+finding.  A rational matrix B is read from its integer view (each row
+scaled to integers by the lcm of its denominators, computed once per
+matrix): its spectrum by the identity L_q char_poly(B) = Q, where Q is
+the targets' integer polynomial L_q prod(t - target), decided by
+``eigen.char_poly_matches`` in one Hessenberg run of B modulo the
+word-size primes it needs, in one numpy kernel, with the primes' product
+above L_q H_B + L_B ||Q||_inf; its sign and row sums from the same
+integers.  An exact matrix with a nonreal entry is compared over Q(i).
+Certification never raises on a bad matrix: the result carries a verdict
+per requested check plus the residuals that justify it, so callers can
+decide what a failure means.
 """
 
 from __future__ import annotations
@@ -21,7 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .eigen import eigenvalues, match_multisets, same_char_poly
+from .eigen import (
+    _integer_rows,
+    char_poly_matches,
+    eigenvalues,
+    match_multisets,
+    same_char_poly,
+)
 from .matrix import DenseMatrix, row_sums
 from .scalars import im_part, is_exact, is_real, re_part, scalar_abs, to_float
 
@@ -93,16 +103,29 @@ def certify(
     ``spectrum`` and ``diagonal`` are target multisets/vectors; passing
     None skips that check.  ``nonneg`` asks for entrywise nonnegativity
     (within NONNEG_SLACK on the float backend, exactly on the exact
-    backend) and ``constant_row_sums`` for equal row sums.  When B is
-    exact and every spectrum target is exact, the spectrum check is
-    ``char_poly(B) == prod(t - target)``, decided exactly by
-    ``eigen.same_char_poly`` against a matrix built from the targets
-    (modulo word-size primes whose product exceeds a Hadamard-type bound
-    when B and the targets are rational, else over Q or Q(i)); for a
-    real B targets not closed under conjugation fail.  Otherwise
-    spectrum matching uses the eigenvalue engine plus greedy
-    closest-first pairing, judged against SPECTRUM_REL_TOL times the
-    largest target modulus (at least 1).  Never raises on a failing
+    backend) and ``constant_row_sums`` for equal row sums.
+
+    When B is exact and every spectrum target is exact, the spectrum
+    check is ``char_poly(B) == prod(t - target)``, decided exactly.  For
+    a rational B the targets become one integer polynomial
+    Q = L_q prod(t - target): a factor d t - a for each rational a / d
+    and d^2 t^2 - 2 a d t + (a^2 + b^2) for each pair (a +- bi) / d, so
+    L_q is the product of the factors' leading coefficients.
+    ``eigen.char_poly_matches`` then checks L_q char_poly(B) = Q modulo
+    word-size primes whose product exceeds L_q H_B + L_B ||Q||_inf,
+    running only B through the modular kernel; targets not closed under
+    conjugation fail, since the char poly of a real B is real.  An exact
+    B with a nonreal entry is compared with the diagonal matrix of the
+    targets over Q(i).  Otherwise spectrum matching uses the eigenvalue
+    engine plus greedy closest-first pairing, judged against
+    SPECTRUM_REL_TOL times the largest target modulus (at least 1).
+
+    A rational B is read for the other checks from its integer view
+    (each row i scaled by the lcm r_i of its denominators), the one the
+    spectrum check uses: the nonneg verdict is the sign of the smallest
+    entry min(r_i row_i) / r_i, and row i sums to sum(r_i row_i) / r_i.
+    A value beyond the float range is recorded as infinite (``null`` in
+    :meth:`RealizationCertificate.to_dict`).  Never raises on a failing
     check.
     """
     checks: dict = {}
@@ -121,7 +144,11 @@ def certify(
             thresholds["spectrum"] = 0.0
             spectrum_residual = float("inf")
         elif exact:
-            ok = _exact_spectrum_check(B, targets)
+            if _integer_rows(B) is None:
+                ok = same_char_poly(B, DenseMatrix.diagonal_matrix(targets))
+            else:
+                poly = _target_poly(targets)
+                ok = poly is not None and char_poly_matches(B, poly)
             checks["spectrum"] = ok
             thresholds["spectrum"] = 0.0
             spectrum_residual = 0.0 if ok else float("inf")
@@ -141,7 +168,7 @@ def certify(
             diag_residual = float("inf")
         else:
             exact = B.exact and all(is_exact(g) for g in gs)
-            gaps = [scalar_abs(B[i, i] - gs[i]) for i in range(B.n)]
+            gaps = [_modulus(B[i, i] - gs[i]) for i in range(B.n)]
             diag_residual = max(gaps) if gaps else 0.0
             if exact:
                 ok = all(B[i, i] == gs[i] for i in range(B.n))
@@ -154,30 +181,35 @@ def certify(
             checks["diagonal"] = bool(ok)
 
     if nonneg:
-        worst_im = 0.0
-        worst_re = None
-        for row in B.rows:
-            for v in row:
-                worst_im = max(worst_im, abs(to_float(im_part(v))))
-                r = re_part(v)
-                worst_re = r if worst_re is None else min(worst_re, r)
-        min_entry = to_float(worst_re)
+        worst = B.min_real_entry()
+        min_entry = _float(worst)
         if B.exact:
-            checks["nonneg"] = worst_re >= 0 and worst_im == 0.0
+            # an exact matrix is real exactly when it has an integer view
+            checks["nonneg"] = _integer_rows(B) is not None and worst >= 0
             thresholds["nonneg"] = 0.0
         else:
+            worst_im = max(abs(to_float(im_part(v))) for row in B.rows for v in row)
             checks["nonneg"] = min_entry >= -NONNEG_SLACK and worst_im <= NONNEG_SLACK
             thresholds["nonneg"] = NONNEG_SLACK
 
     if constant_row_sums:
-        sums = row_sums(B)
-        if B.exact:
-            row_sum_deviation = (
-                max(to_float(scalar_abs(s - sums[0])) for s in sums) if sums else 0.0
+        view = _integer_rows(B)
+        if view is not None:
+            sums = [(sum(ints), r) for r, ints in view[0]]
+            s0, r0 = sums[0] if sums else (0, 1)
+            ok = all(s * r0 == s0 * r for s, r in sums)
+            row_sum_deviation = 0.0 if ok else max(
+                _modulus(Fraction(s, r) - Fraction(s0, r0)) for s, r in sums
             )
+            checks["constant_row_sums"] = ok
+            thresholds["constant_row_sums"] = 0.0
+        elif B.exact:
+            sums = row_sums(B)
+            row_sum_deviation = max(_modulus(s - sums[0]) for s in sums)
             checks["constant_row_sums"] = all(s == sums[0] for s in sums)
             thresholds["constant_row_sums"] = 0.0
         else:
+            sums = row_sums(B)
             mean = sum(to_float(re_part(s)) for s in sums) / len(sums)
             row_sum_deviation = max(abs(complex(to_float(s)) - mean) for s in sums)
             checks["constant_row_sums"] = row_sum_deviation <= ROW_SUM_REL_TOL * max(
@@ -196,28 +228,49 @@ def certify(
     )
 
 
-def _exact_spectrum_check(B: DenseMatrix, targets: list) -> bool:
-    """``char_poly(B) == prod(t - target)``, decided by ``same_char_poly``.
+def _float(x) -> float:
+    """``to_float`` of a real value, or an infinity of its sign when it
+    is beyond the float range."""
+    try:
+        return to_float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
-    For a real B the targets become a real matrix with the same char
-    poly: the real values on the diagonal and a block [[a, -b], [b, a]]
-    for each pair a +- bi.  Targets not closed under conjugation are
-    then rejected outright, since the char poly of a real B is real.
-    """
-    if not B.is_real():
-        return same_char_poly(B, DenseMatrix.diagonal_matrix(targets))
+
+def _modulus(x) -> float:
+    """``scalar_abs(x)``, or ``inf`` when it is beyond the float range."""
+    try:
+        return scalar_abs(x)
+    except OverflowError:
+        return math.inf
+
+
+def _target_poly(targets: list) -> Optional[list]:
+    """L_q prod(t - target) as integers, highest degree first, for exact
+    targets closed under conjugation; None when they are not."""
     nonreal = Counter(z for z in targets if not is_real(z))
     if any(nonreal[z.conjugate()] != c for z, c in nonreal.items()):
-        return False
-    zero = Fraction(0)
-    rows = [[zero] * B.n for _ in range(B.n)]
-    k = 0
+        return None
+    poly = [1]
     for z in targets:
         if is_real(z):
-            rows[k][k] = Fraction(z)
-            k += 1
+            z = Fraction(z)
+            factor = (z.denominator, -z.numerator)
         elif z.im > 0:
-            rows[k][k] = rows[k + 1][k + 1] = z.re
-            rows[k][k + 1], rows[k + 1][k] = -z.im, z.im
-            k += 2
-    return same_char_poly(B, DenseMatrix._trusted(rows, True))
+            d = math.lcm(z.re.denominator, z.im.denominator)
+            a = z.re.numerator * (d // z.re.denominator)
+            b = z.im.numerator * (d // z.im.denominator)
+            factor = (d * d, -2 * a * d, a * a + b * b)
+        else:
+            continue
+        poly = _poly_mul(poly, factor)
+    return poly
+
+
+def _poly_mul(p: list, q: tuple) -> list:
+    """Product of two integer polynomials, highest degree first."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out

@@ -1,14 +1,16 @@
 """Dense eigenvalue engine used to certify every construction in the package.
 
 Exact outputs are certified by characteristic-polynomial identity, with
-no root finding: for rational matrices :func:`same_char_poly` runs the
-Hessenberg reduction and recurrence on int64 residues modulo the fewest
-table primes below 2^26 whose product exceeds a Hadamard-type bound on
-the coefficients, all primes and both matrices in one numpy kernel.  It
-compares the exact characteristic polynomials over Q or Q(i) only for
-complex entries, more than 2^11 rows or a bound beyond the whole table.
-The exact polynomial itself (:func:`char_poly`) is computed over Q or
-Q(i).
+no root finding: for rational matrices :func:`same_char_poly` (two
+matrices) and :func:`char_poly_matches` (a matrix and an integer
+polynomial) run the Hessenberg reduction and recurrence on int64
+residues modulo the fewest table primes below 2^26 whose product exceeds
+a Hadamard-type bound on the coefficients, all primes and matrices in
+one numpy kernel.  The residues come from each matrix's integer view,
+which the matrix computes once.  They compare exact characteristic
+polynomials over Q or Q(i) only for complex entries, more than 2^11 rows
+or a bound beyond the whole table.  The exact polynomial itself
+(:func:`char_poly`) is computed over Q or Q(i).
 
 Float spectra of float matrices (and exact complex ones) come from
 LAPACK through ``numpy.linalg.eigvals``; for real input the values are
@@ -330,48 +332,73 @@ def same_char_poly(X: DenseMatrix, Y: DenseMatrix) -> bool:
     """
     if X.n != Y.n:
         return False
-    scaled = [_integer_rows(Z) for Z in (X, Y)]
-    if None not in scaled and X.n <= KERNEL_MAX_N:
-        (rows_x, l_x, h_x), (rows_y, l_y, h_y) = scaled
-        stack = _residue_stack(rows_x + rows_y, l_y * h_x + l_x * h_y)
+    views = [_integer_rows(Z) for Z in (X, Y)]
+    if None not in views and X.n <= KERNEL_MAX_N:
+        (_, l_x, h_x), (_, l_y, h_y) = views
+        stack = _residue_stack(views, l_y * h_x + l_x * h_y)
         if stack is not None:
-            polys = _char_polys_mod(*stack)
+            polys = _char_polys_mod(*stack[:2])
             half = len(polys) // 2
             return bool(np.array_equal(polys[:half], polys[half:]))
     return char_poly(X) == char_poly(Y)
 
 
+def char_poly_matches(B: DenseMatrix, poly: Sequence[int]) -> bool:
+    """Whether ``poly == poly[0] * char_poly(B)`` for an exact B and an
+    integer polynomial ``poly`` (highest degree first, poly[0] > 0).
+
+    For a rational B, with r_i, L_B and H_B as in :func:`same_char_poly`
+    and Q = poly, L_q = Q[0]: L_B c_k(B) is an integer of modulus at most
+    H_B, so L_B (L_q c_k(B) - Q_k) is an integer of modulus at most
+    M = L_q H_B + L_B ||Q||_inf.  B's residues are taken modulo the
+    fewest table primes whose product exceeds M, skipping any that
+    divides an r_i, and :func:`_char_polys_mod` runs them once (one slice
+    per prime).  A chosen p does not divide L_B, so it divides
+    L_B (L_q c_k(B) - Q_k) exactly when (L_q mod p) c_k(B) = Q_k modulo
+    p; agreement modulo all of them is the identity over Q.  A prime that
+    divides L_q needs no skipping, since nothing is divided by L_q.
+
+    When B has a nonreal entry, exceeds ``KERNEL_MAX_N`` rows or M
+    exceeds what the table can cover, ``char_poly(B)`` is computed over
+    Q or Q(i) and compared.
+    """
+    if len(poly) != B.n + 1:
+        return False
+    view = _integer_rows(B)
+    if view is not None and B.n <= KERNEL_MAX_N:
+        _, l_b, h_b = view
+        bound = poly[0] * h_b + l_b * max(map(abs, poly))
+        stack = _residue_stack([view], bound, poly)
+        if stack is not None:
+            H, primes, res = stack
+            coeffs = _char_polys_mod(H, primes) * res[0][:, None] % primes[:, None]
+            return bool(np.array_equal(coeffs, res[::-1].T))
+    lead = poly[0]
+    return [lead * c for c in char_poly(B)] == list(poly)
+
+
 def _integer_rows(Z: DenseMatrix):
-    """Z's rows scaled to integers, as (r_i, r_i * row_i) pairs, with
-    L_Z and H_Z of :func:`same_char_poly`; None unless Z is rational."""
-    if not (Z.exact and Z.is_real()):
-        return None
-    out = []
-    lcm_prod = height = 1
-    for row in Z.rows:
-        r = math.lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (r // x.denominator) for x in row]
-        sq = sum(v * v for v in ints)
-        norm = math.isqrt(sq)
-        if norm * norm < sq:
-            norm += 1
-        out.append((r, ints))
-        lcm_prod *= r
-        height *= r + norm
-    return out, lcm_prod, height
+    """Z's integer view, computed once per matrix: its rows scaled to
+    integers, as (r_i, r_i * row_i) pairs, with L_Z and H_Z of
+    :func:`same_char_poly`; None unless Z is rational."""
+    return Z._integer_view()
 
 
-def _residue_stack(scaled_rows: list, bound: int):
-    """X's rows then Y's, given as (r_i, r_i row_i) pairs, reduced modulo
-    the fewest table primes that divide no r_i and whose product exceeds
-    ``bound``: a (2K, n, n) int64 stack, X's K slices first, and its K
-    primes twice over; None when the table holds too few such primes.
+def _residue_stack(views: list, bound: int, values: Sequence[int] = ()):
+    """The matrices of ``views`` (integer views, as :func:`_integer_rows`
+    gives them, all of one size n) modulo the fewest table primes that
+    divide no r_i of any view and whose product exceeds ``bound``.
+
+    Returns a (V K, n, n) int64 stack, each view's K slices in turn; its
+    primes, the K chosen ones repeated for each view; and the integers
+    ``values`` modulo the K primes, a (len(values), K) array.  None when
+    the table holds too few such primes.
 
     Any ceil(bits(bound) / 25) table primes multiply past the bound, and
     at most bits(r) // 25 of them divide r, so the primes come from the
     first ``count`` of the table.
     """
-    lcms = [r for r, _ in scaled_rows]
+    lcms = [r for rows, _, _ in views for r, _ in rows]
     distinct = list(dict.fromkeys(lcms))
     primes = _table_primes()
     count = -(-bound.bit_length() // _PRIME_FLOOR_BITS) + sum(
@@ -387,16 +414,18 @@ def _residue_stack(scaled_rows: list, bound: int):
     if prod <= bound:
         return None
     primes = primes[chosen]
-    K, n = len(chosen), len(lcms) // 2
+    V, K, n = len(views), len(chosen), len(lcms) // len(views)
     inv = _inverses(lcm_res[:, chosen], primes)
     index = {r: i for i, r in enumerate(distinct)}
     inv = inv[[index[r] for r in lcms]]
-    ints = _table_residues([v for _, row in scaled_rows for v in row], chosen)
-    ints = ints.reshape(2 * n, n, K)
+    flat = [v for rows, _, _ in views for _, row in rows for v in row]
+    ints = _table_residues(flat + list(values), chosen)
+    extra = ints[len(flat) :]
+    ints = ints[: len(flat)].reshape(V * n, n, K)
     ints *= inv[:, None, :]
     ints %= primes
-    stack = ints.reshape(2, n, n, K).transpose(0, 3, 1, 2).reshape(2 * K, n, n)
-    return stack, np.concatenate([primes, primes])
+    stack = ints.reshape(V, n, n, K).transpose(0, 3, 1, 2).reshape(V * K, n, n)
+    return stack, np.tile(primes, V), extra
 
 
 def _inverses(a: np.ndarray, primes: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ inputs are never modified.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -46,12 +47,38 @@ def _entries_array(rows, exact: bool) -> np.ndarray:
     return np.array(rows)
 
 
+def _scale_to_integers(rows):
+    """Rows of ``Fraction`` entries scaled to integers: a list of
+    (r_i, r_i * row_i) pairs, where r_i is the lcm of the denominators in
+    row i, with L = prod r_i and H = prod (r_i + ceil(||r_i row_i||_2));
+    False when an entry is not rational (a ``ComplexRational``)."""
+    out = []
+    lcm_prod = height = 1
+    for row in rows:
+        try:
+            dens = [x.denominator for x in row]
+        except AttributeError:
+            return False
+        r = math.lcm(*dens)
+        ints = [x.numerator * (r // d) for x, d in zip(row, dens)]
+        sq = sum(v * v for v in ints)
+        norm = math.isqrt(sq)
+        if norm * norm < sq:
+            norm += 1
+        out.append((r, ints))
+        lcm_prod *= r
+        height *= r + norm
+    return out, lcm_prod, height
+
+
 class DenseMatrix:
     """Square matrix with immutable entries on a single scalar backend."""
 
     # ``_numeric`` is None until first use, then (array, max |entry|,
-    # realness) of the entries, computed once (see :meth:`_facts`)
-    __slots__ = ("n", "rows", "exact", "_numeric")
+    # realness) of the entries, computed once (see :meth:`_facts`);
+    # ``_integer`` likewise holds the integer view of an exact matrix
+    # (see :meth:`_integer_view`)
+    __slots__ = ("n", "rows", "exact", "_numeric", "_integer")
 
     def __init__(self, rows):
         data = [list(r) for r in rows]
@@ -69,6 +96,7 @@ class DenseMatrix:
         object.__setattr__(self, "rows", tuple(tuple(r) for r in normalized))
         object.__setattr__(self, "exact", family == "exact")
         object.__setattr__(self, "_numeric", None)
+        object.__setattr__(self, "_integer", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("DenseMatrix is immutable")
@@ -91,6 +119,7 @@ class DenseMatrix:
         object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
         object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "_numeric", None)
+        object.__setattr__(self, "_integer", None)
         return self
 
     @classmethod
@@ -115,6 +144,16 @@ class DenseMatrix:
         arr.flags.writeable = False
         real = arr.dtype.kind != "c" or not arr.imag.any()
         object.__setattr__(self, "_numeric", (arr, float(np.max(np.abs(arr))), real))
+
+    def _integer_view(self):
+        """(rows, L, H) of :func:`_scale_to_integers` for a rational matrix,
+        computed on first use and then reused; None unless every entry is
+        rational (any float matrix, or an exact one with a nonreal entry)."""
+        view = self._integer
+        if view is None:
+            view = _scale_to_integers(self.rows) if self.exact else False
+            object.__setattr__(self, "_integer", view)
+        return view or None
 
     # -- constructors -------------------------------------------------
 
@@ -251,8 +290,22 @@ class DenseMatrix:
         return self._facts()[1]
 
     def min_real_entry(self):
-        """Smallest real part over all entries (entrywise bound helper)."""
-        return min(re_part(x) for r in self.rows for x in r)
+        """Smallest real part over all entries (entrywise bound helper).
+
+        A rational matrix reads it from its integer view: the row i with
+        the least min(r_i row_i) / r_i, compared exactly by cross
+        multiplication, gives the smallest entry as one ``Fraction``."""
+        view = self._integer_view()
+        if view is None:
+            return min(re_part(x) for r in self.rows for x in r)
+        rows = iter(view[0])
+        r, ints = next(rows)
+        low, den = min(ints), r
+        for r, ints in rows:
+            m = min(ints)
+            if m * den < low * r:
+                low, den = m, r
+        return Fraction(low, den)
 
     def is_real(self) -> bool:
         if not self.exact:

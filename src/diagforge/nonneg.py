@@ -77,7 +77,12 @@ class Spectrum:
         if not vals:
             raise ValueError("empty spectrum")
         self.exact = all(is_exact(v) for v in vals)
-        scale = max(1.0, max(scalar_abs(v) for v in vals))
+        try:
+            scale = max(1.0, max(scalar_abs(v) for v in vals))
+        except OverflowError:
+            raise ValueError(
+                "spectrum value beyond the float range, which the tolerance scale needs"
+            ) from None
         reals, pairs = _split_conjugates(vals, self.exact, tol * scale)
         if not reals:
             raise ValueError("no real element available for the dominant position")

@@ -686,6 +686,22 @@ class TestExactBeyondTheFloatRange:
         assert doc["status"] == "error"
         assert doc["error"].startswith(f"{section} entry beyond the float range")
 
+    def test_verify_returns_its_certificate(self, tmp_path):
+        # the nonneg verdict is exact; the minimum entry has no float
+        problem = {"matrix": [[-10**400, 0], [0, 3]], "nonneg": True}
+        code, doc, _ = run(tmp_path, problem, "verify")
+        assert code == 1
+        assert doc["status"] == "fail"
+        assert doc["certificate"]["checks"] == {"nonneg": False}
+        assert doc["certificate"]["min_entry"] is None
+
+    def test_realize_reports_invalid_input(self, tmp_path):
+        problem = {"spectrum": [10**400, 0], "diagonal": [10**400, 0]}
+        code, doc, _ = run(tmp_path, problem, "realize", "--exact")
+        assert code == 2
+        assert doc["status"] == "error"
+        assert doc["error"].startswith("spectrum value beyond the float range")
+
     def test_exact_route_needs_no_float(self, tmp_path):
         # a diagonal matrix takes the exact route, floats never enter
         problem = {"matrix": [[10**400, 0], [0, 3]], "diagonal": [3, 10**400]}

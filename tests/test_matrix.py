@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -258,3 +259,52 @@ def test_float_branches_match_their_loop_versions(seed, complex_entries):
     same(set_diagonal_cs(cs, gs, tol=1e-6), [
         [gs[j] if i == j else cs.rows[i][j] + q[j] for j in range(n)] for i in range(n)
     ])
+
+
+# -- the integer view of a rational matrix ---------------------------------
+
+
+def _rational_case(seed):
+    """A seeded rational matrix with negative entries and a zero row."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 7)
+    rows = [
+        [Fraction(rng.randint(-20, 20), rng.randint(1, 12)) if rng.random() < 0.7 else 0
+         for _ in range(n)]
+        for _ in range(n)
+    ]
+    rows[rng.randrange(n)] = [0] * n
+    return DenseMatrix(rows)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_integer_view_is_the_row_scaling(seed):
+    a = _rational_case(seed)
+    view = a._integer_view()
+    assert a._integer_view() is view
+    rows, lcm_prod, height = view
+    want_l = want_h = 1
+    for (r, ints), row in zip(rows, a.rows):
+        # r_i is the least positive integer that makes row i integral
+        assert r == next(k for k in itertools.count(1) if all((k * x).denominator == 1 for x in row))
+        assert ints == [int(r * x) for x in row]
+        sq = sum(v * v for v in ints)
+        norm = next(h for h in itertools.count() if h * h >= sq)
+        want_l *= r
+        want_h *= r + norm
+    assert (lcm_prod, height) == (want_l, want_h)
+
+
+def test_only_a_rational_matrix_has_an_integer_view():
+    assert DenseMatrix([[1.5, 2.0], [0.0, 1.0]])._integer_view() is None
+    a = DenseMatrix([[exact_complex(1, 2), 0], [0, 1]])
+    assert a._integer_view() is None and a._integer_view() is None
+    assert a.min_real_entry() == 0
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_min_real_entry_reads_the_integer_view(seed):
+    a = _rational_case(seed)
+    got = a.min_real_entry()
+    assert type(got) is Fraction
+    assert got == min(x for r in a.rows for x in r)
