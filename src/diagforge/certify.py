@@ -126,7 +126,8 @@ def certify(
     entry min(r_i row_i) / r_i, and row i sums to sum(r_i row_i) / r_i.
     A value beyond the float range is recorded as infinite (``null`` in
     :meth:`RealizationCertificate.to_dict`).  Never raises on a failing
-    check.
+    check; an exact B whose eigenvalues cannot be computed in floats, for
+    float targets, raises ``ValueError``.
     """
     checks: dict = {}
     thresholds: dict = {}
@@ -137,7 +138,13 @@ def certify(
         targets = list(spectrum)
         exact = B.exact and all(is_exact(t) for t in targets)
         if not exact:
-            est = eigenvalues(B)
+            try:
+                est = eigenvalues(B)
+            except OverflowError:
+                raise ValueError(
+                    "the float spectrum that float targets are checked "
+                    "against is beyond the float range for this matrix"
+                ) from None
             computed = tuple(complex(to_float(z)) for z in est.values)
         if len(targets) != B.n:
             checks["spectrum"] = False

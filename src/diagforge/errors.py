@@ -7,16 +7,14 @@ class FeasibilityError(Exception):
     """A construction has no solution for the given data.
 
     Carries optional structured context: ``level`` is the recursion depth
-    at which a staged construction failed (0 is the outermost level),
-    ``condition`` names the violated requirement, ``report`` holds any
-    per-condition detail object.
+    at which a staged construction failed (0 is the outermost level), and
+    ``condition`` names the violated requirement.
     """
 
-    def __init__(self, message, *, level=None, condition=None, report=None):
+    def __init__(self, message, *, level=None, condition=None):
         super().__init__(message)
         self.level = level
         self.condition = condition
-        self.report = report
 
 
 class ConvergenceError(RuntimeError):

@@ -43,7 +43,7 @@ from .scalars import (
     scalar_abs,
     to_float,
 )
-from .similarity import DiagonalTarget, as_diagonal_target, set_diagonal_cs
+from .similarity import DiagonalTarget, _rewrite_diagonal, as_diagonal_target
 
 DEGENERATE_CORNER_TOL = 1e-10
 
@@ -301,23 +301,27 @@ def suleimanova_primitive(spectrum) -> DenseMatrix:
     entry nonnegative.
     """
     spec = as_spectrum(spectrum)
-    cls = classify(spec)
-    if any(f != "F" for f in cls.flags):
+    if any(f != "F" for f in classify(spec).flags):
         raise FeasibilityError(
             "tail leaves the |Re| >= |Im|, Re <= 0 region",
             condition="outside-F",
         )
-    lam = spec.perron
-    n = spec.n
-    zero = Fraction(0) if spec.exact else 0.0
+    return _template(spec.perron, spec.tail_reals, spec.tail_pairs)
+
+
+def _template(lam, reals, pairs) -> DenseMatrix:
+    """:func:`suleimanova_primitive` from a dominant ``lam`` and F tail
+    parts on one backend, unchecked."""
+    n = 1 + len(reals) + 2 * len(pairs)
+    zero = Fraction(0) if is_exact(lam) else 0.0
     rows = [[zero] * n for _ in range(n)]
     rows[0][0] = lam
     i = 1
-    for r in spec.tail_reals:
+    for r in reals:
         rows[i][0] = lam - r
         rows[i][i] = r
         i += 1
-    for z in spec.tail_pairs:
+    for z in pairs:
         x, y = re_part(z), im_part(z)
         rows[i][0] = lam - x + y
         rows[i][i] = x
@@ -326,9 +330,7 @@ def suleimanova_primitive(spectrum) -> DenseMatrix:
         rows[i + 1][i] = y
         rows[i + 1][i + 1] = x
         i += 2
-    if not all(rows[k][0] >= 0 for k in range(1, n)):
-        raise CertificationError("template first column went negative")
-    return DenseMatrix(rows)
+    return DenseMatrix._trusted(rows, is_exact(lam))
 
 
 def realize_suleimanova(spectrum, gammas, tol: float = 1e-9) -> DenseMatrix:
@@ -346,12 +348,17 @@ def realize_suleimanova(spectrum, gammas, tol: float = 1e-9) -> DenseMatrix:
     if not check_trace(spec, target, tol=tol):
         raise ValueError("trace mismatch: sum(gammas) != sum(spectrum)")
     T = suleimanova_primitive(spec)
+    gs = target.gammas
     if not (spec.exact and target.exact):
         T = T.to_float()
-        target = DiagonalTarget(
-            tuple(to_float(g) for g in target.gammas), mode="nonnegative"
-        )
-    B = set_diagonal_cs(T, target, tol=tol)
+        gs = tuple(to_float(g) for g in gs)
+    return _wedge_rewrite(T, gs)
+
+
+def _wedge_rewrite(T: DenseMatrix, gs: tuple) -> DenseMatrix:
+    """T's diagonal rewritten to ``gs``, floor-checked; for an exact all-F
+    spectrum the check builds the integer view that certification reads."""
+    B = _rewrite_diagonal(T, gs)[0]
     floor = 0 if B.exact else -1e-12 * max(1.0, B.max_abs())
     if not B.min_real_entry() >= floor:
         raise CertificationError("wedge realization produced a negative entry")
@@ -480,8 +487,14 @@ def construct_3x3(lam1, pair, gammas, tol: float = 1e-9) -> DenseMatrix:
          [lam1 - g2 - p,  g2,       p        ],
          [0,              lam1-g3,  g3       ]]
 
-    with p = (e2(gammas) - e2(spectrum)) / (lam1 - g3).  Feasibility of
-    the diagonal is checked first and reported per condition.
+    with p = (e2(gammas) - e2(spectrum)) / (lam1 - g3).  The checks of
+    the input (wide wedge, dominance, trace, gammas >= 0) imply those of
+    perfect_feasible: with x <= 0 the trace reads lam1 = g1 + g2 + g3 +
+    2|x| >= 2|x|, so 0 <= g_k <= lam1, max g_k >= 0 >= x, and
+    e2(spectrum) = |z|^2 - 2 lam1 |x| <= y^2 - 3x^2 <= 0 <= e2(gammas).
+    Also lam1 > g3 unless g1 = g2 = x = y = 0 (the all-zero corner), and
+    the (2,1) entry is (g1 (g1 + 2|x|) + |z|^2) / (lam1 - g3) >= 0.  On
+    float input a rounded entry below the floor raises "boundary".
     """
     vals = normalize_vector((lam1, pair))
     target = _nonneg_target(gammas)
@@ -495,11 +508,7 @@ def construct_3x3(lam1, pair, gammas, tol: float = 1e-9) -> DenseMatrix:
     lam1, z = vals
     if not is_real(lam1):
         raise ValueError("lam1 must be real")
-    lam1 = re_part(lam1)
-    x = re_part(z)
-    y = im_part(z)
-    if y < 0:
-        y = -y
+    lam1, x, y = re_part(lam1), re_part(z), abs(im_part(z))
     scale = max(1.0, to_float(scalar_abs(lam1)), to_float(scalar_abs(z)))
     slack = 0 if exact else tol * scale
 
@@ -520,54 +529,44 @@ def construct_3x3(lam1, pair, gammas, tol: float = 1e-9) -> DenseMatrix:
     if (trace_gap != 0) if exact else abs(to_float(trace_gap)) > max(tol, 1e-10) * scale:
         raise ValueError("trace mismatch: sum(gammas) != lam1 + 2*Re(pair)")
 
-    corner_gap = scalar_abs(lam1 - g3)
-    degenerate = (g3 == lam1) if exact else to_float(corner_gap) <= DEGENERATE_CORNER_TOL * scale
-    if degenerate:
-        # g1 + g2 = 2x <= 0 with nonnegative entries forces the zero case
-        tiny = 0 if exact else DEGENERATE_CORNER_TOL * scale
-        if (
-            scalar_abs(g1) <= tiny
-            and scalar_abs(g2) <= tiny
-            and scalar_abs(x) <= tiny
-            and scalar_abs(y) <= tiny
-        ):
-            zero = Fraction(0) if exact else 0.0
-            return DenseMatrix(
-                [[zero, zero, lam1], [lam1, zero, zero], [zero, zero, lam1]]
+    tiny = DEGENERATE_CORNER_TOL * scale
+    if (g3 == lam1) if exact else abs(lam1 - g3) <= tiny:
+        # lam1 - g3 = g1 + g2 + 2|x| forces the all-zero case on exact input
+        if not exact and max(g1, g2, abs(x), y) > tiny:
+            raise FeasibilityError(
+                "third diagonal entry coincides with the dominant eigenvalue "
+                "outside the all-zero degenerate case",
+                condition="degenerate-corner",
             )
-        raise FeasibilityError(
-            "third diagonal entry coincides with the dominant eigenvalue "
-            "outside the all-zero degenerate case",
-            condition="degenerate-corner",
+        zero = Fraction(0) if exact else 0.0
+        return DenseMatrix._trusted(
+            [[zero, zero, lam1], [lam1, zero, zero], [zero, zero, lam1]], exact
         )
 
-    report = perfect_feasible(lam1, z, conj(z), g1, g2, g3, tol=tol)
-    if not report.ok:
+    B = _block(lam1, x, y, g1, g2, g3)
+    if not exact and B.min_real_entry() < -1e-12 * max(1.0, B.max_abs()):
         raise FeasibilityError(
-            "3x3 target fails feasibility: " + ", ".join(report.failing),
-            condition=", ".join(report.failing),
-            report=report,
+            "rounding pushed a boundary entry negative", condition="boundary"
         )
+    return B
 
+
+def _block(lam1, x, y, g1, g2, g3) -> DenseMatrix:
+    """:func:`construct_3x3`'s matrix for x +- iy, unchecked: the caller
+    knows its checks pass, lam1 > g3, and all values share a backend."""
     e2_lam = 2 * lam1 * x + (x * x + y * y)
     e2_g = g1 * g2 + g1 * g3 + g2 * g3
     p = (e2_g - e2_lam) / (lam1 - g3)
+    exact = is_exact(lam1)
     zero = Fraction(0) if exact else 0.0
-    B = DenseMatrix(
+    return DenseMatrix._trusted(
         [
             [g1, zero, lam1 - g1],
             [lam1 - g2 - p, g2, p],
             [zero, lam1 - g3, g3],
-        ]
+        ],
+        exact,
     )
-    floor = 0 if exact else -1e-12 * max(1.0, B.max_abs())
-    if B.min_real_entry() < floor:
-        raise FeasibilityError(
-            "rounding pushed a boundary entry negative",
-            condition="boundary",
-            report=report,
-        )
-    return B
 
 
 # ---------------------------------------------------------------------------
@@ -609,14 +608,15 @@ def smigoc_glue(A1: DenseMatrix, A2: DenseMatrix, t, tol: float = 1e-9) -> Dense
             "trailing diagonal entry of the first block must equal the "
             "row-sum constant of the second"
         )
-    rows = []
-    for i in range(n1 - 1):
-        a_i = A1[i, n1 - 1]
-        rows.append(list(A1.rows[i][: n1 - 1]) + [a_i * tj for tj in t])
-    b = A1.rows[n1 - 1][: n1 - 1]
-    for k in range(A2.n):
-        rows.append(list(b) + list(A2.rows[k]))
-    return DenseMatrix._trusted(rows, exact)
+    return _glue(A1, A2, t)
+
+
+def _glue(A1: DenseMatrix, A2: DenseMatrix, t: tuple) -> DenseMatrix:
+    """:func:`smigoc_glue` on blocks that meet its conditions, unchecked."""
+    k = A1.n - 1
+    rows = [list(r[:k]) + [r[k] * tj for tj in t] for r in A1.rows[:k]]
+    b = list(A1.rows[k][:k])
+    return DenseMatrix._trusted(rows + [b + list(r) for r in A2.rows], A1.exact)
 
 
 def _block_vector(B: DenseMatrix) -> tuple:
@@ -648,37 +648,31 @@ def _chain(lam1, pairs, gammas, tol: float, level: int = 0):
     Bridges are reported outermost first, glue vectors aligned with
     them; u is B's left eigenvector for lam1 with entry sum 1.
     """
-    m = len(pairs)
-    if len(gammas) != 2 * m + 1:
-        raise ValueError("diagonal length must be 2 * pairs + 1")
     c = lam1
     for z in pairs[:-1]:
         c = c + 2 * re_part(z)
     c = c - sum(gammas[:-3])
-    # construct_3x3 checks that c is nonnegative and dominates its pair
-    try:
-        block = construct_3x3(c, pairs[-1], gammas[-3:], tol=tol)
-    except FeasibilityError as exc:
-        raise _at_level(exc, level) from None
+    if is_exact(c):
+        # feasible by the proof in realize_mixed's docstring
+        block = _block(c, re_part(pairs[-1]), im_part(pairs[-1]), *gammas[-3:])
+    else:
+        # rounding can trip construct_3x3's corner and floor checks
+        try:
+            block = construct_3x3(c, pairs[-1], gammas[-3:], tol=tol)
+        except FeasibilityError as exc:
+            raise FeasibilityError(
+                f"level {level}: {exc}", level=level, condition=exc.condition
+            ) from None
     t = _block_vector(block)
-    if m == 1:
+    if len(pairs) == 1:
         return block, (), (), t
     prefix, bridges, ts, u = _chain(
         lam1, pairs[:-1], tuple(gammas[:-3]) + (c,), tol, level + 1
     )
-    C = smigoc_glue(prefix, block, t, tol=tol)
+    C = _glue(prefix, block, t)
     # if u^T prefix = lam1 u^T, then (u without its last entry, u_last t)
     # is the same for C, and its entries still sum to 1 since sum(t) = 1
     return C, (c,) + bridges, (t,) + ts, u[:-1] + tuple(u[-1] * x for x in t)
-
-
-def _at_level(exc: FeasibilityError, level: int) -> FeasibilityError:
-    if exc.level is None:
-        return FeasibilityError(
-            f"level {level}: {exc}", level=level, condition=exc.condition,
-            report=exc.report,
-        )
-    return exc
 
 
 def realize_smigoc(spectrum, gammas, tol: float = 1e-9) -> DenseMatrix:
@@ -773,19 +767,14 @@ def realize_mixed(
     permutation that restored it.
 
     On exact input every order succeeds, so the first attempt is the
-    only one.  The bridge into the chain is c = (the diagonal entries
-    given to the chain) + 2 sum |Re z| over the chain pairs, by the
-    trace; so c >= 2|x| >= |z| for every pair z = x + iy, since the
-    wide wedge has y^2 <= 3x^2.  The same holds for each bridge inside
-    the chain and for the dominant value of the innermost block.  Each
-    3x3 block then has lam = g1 + g2 + g3 + 2|x|, so that
-      - every g_k <= lam, and max g_k >= 0 >= x;
-      - e2(spectrum) = |z|^2 - 2 lam |x| <= y^2 - 3x^2 <= 0 <= e2(gammas);
-      - lam > g3 unless g1 = g2 = x = y = 0, the all-zero corner case;
-      - the (2,1) entry lam - g2 - p equals
-        (g1 (g1 + 2|x|) + |z|^2) / (lam - g3) >= 0.
-    The F block takes any nonnegative diagonal (realize_suleimanova).
-    On float input an attempt can fail only by rounding at a boundary.
+    only one.  By the trace, each bridge (and the innermost block's
+    dominant value) is the sum of the diagonal entries given to the
+    chain below it plus 2 sum |Re z| over its pairs, so each 3x3 block
+    has lam = g1 + g2 + g3 + 2|x| with g_k >= 0: construct_3x3's proof
+    applies, and lam > g3 as chain pairs are nonreal.  The F block takes
+    any nonnegative diagonal (realize_suleimanova).  So the steps between
+    this entry check and the exit certification are built unchecked; on
+    float input an attempt can fail only by rounding at a boundary.
 
     Returns (B, RealizationPlan).  The output is certified internally
     (nonnegative, constant row sums, spectrum, diagonal) and the plan
@@ -843,7 +832,6 @@ def realize_mixed(
         f"no feasible diagonal assignment found (last failure: {last_error})",
         condition=last_error.condition,
         level=last_error.level,
-        report=last_error.report,
     )
 
 
@@ -862,9 +850,12 @@ def _split_parts(spec: Spectrum):
 
 
 def _attempt(spec, cls, target, sigma, head_vals, chain_pairs, tol):
+    """One assignment, built unchecked: see realize_mixed's docstring."""
     gs = tuple(target.gammas[i] for i in sigma)
+    reals = spec.tail_reals
     if cls.tag is SpectrumClass.SULEIMANOVA_F:
-        return realize_suleimanova(spec, gs, tol=tol), (), ()
+        T = _template(spec.perron, reals, spec.tail_pairs)
+        return _wedge_rewrite(T, gs), (), ()
     if cls.tag is SpectrumClass.SMIGOC_G:
         return _chain(spec.perron, chain_pairs, gs, tol)[:3]
     # mixed: head block with the bridge in its last slot, then the chain
@@ -874,18 +865,18 @@ def _attempt(spec, cls, target, sigma, head_vals, chain_pairs, tol):
     for v in head_vals[1:]:
         sum_head = sum_head + re_part(v)
     c = sum_head - sum(g_head)
-    # a negative c would be rejected as a diagonal entry of the head
-    # block; each chain block checks that its bridge dominates its pair
+    # c >= 0 on exact input (see realize_mixed); rounding can break that
     if c < 0:
         raise FeasibilityError(
             f"bridge value {to_float(c)} is negative",
             level=0,
             condition="bridge-negative",
         )
-    head_spec = Spectrum(head_vals, tol=tol)
-    A1 = realize_suleimanova(head_spec, tuple(g_head) + (c,), tol=tol)
+    # head_vals lists each F pair as z, conj(z), after the reals
+    head_pairs = head_vals[1 + len(reals) :: 2]
+    A1 = _wedge_rewrite(_template(spec.perron, reals, head_pairs), g_head + (c,))
     A2, bridges, ts, u = _chain(c, chain_pairs, g_chain, tol, level=1)
-    return smigoc_glue(A1, A2, u, tol=tol), (c,) + bridges, (u,) + ts
+    return _glue(A1, A2, u), (c,) + bridges, (u,) + ts
 
 
 def _inverse(perm: tuple) -> tuple:

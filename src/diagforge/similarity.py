@@ -149,16 +149,22 @@ def set_diagonal_cs(
         return DenseMatrix._from_array(_set_diagonal_array(A.to_numpy(), gs, tol)[0])
     if is_constant_row_sum(A) is None:
         raise ValueError("matrix does not have constant row sums")
-    q = [g - d for g, d in zip(gs, A.diagonal())]
-    if sum(q) != 0:
+    if sum(gs) != A.trace():
         raise ValueError("trace mismatch: sum(gammas) != trace(A)")
+    return _rewrite_diagonal(A, gs)[0]
+
+
+def _rewrite_diagonal(A: DenseMatrix, gs: tuple) -> tuple:
+    """(A + e q^T, q) for q_i = gs_i - a_ii, unchecked: the caller knows
+    that A has constant row sums and sum(gs) = trace(A).  Diagonal entries
+    are written as ``gs`` itself, which dodges float rounding."""
+    q = tuple(g - d for g, d in zip(gs, A.diagonal()))
     out = []
-    for i in range(A.n):
-        row = list(A.rows[i])
-        for j in range(A.n):
-            row[j] = gs[j] if i == j else row[j] + q[j]
+    for i, row in enumerate(A.rows):
+        row = [x + qj for x, qj in zip(row, q)]
+        row[i] = gs[i]
         out.append(row)
-    return DenseMatrix._trusted(out, True)
+    return DenseMatrix._trusted(out, A.exact), q
 
 
 def _set_diagonal_array(a, gs: tuple, tol: float):
@@ -263,8 +269,10 @@ def similar_with_diagonal(
     in order:
 
     * A already has constant row sums: rewrite the diagonal in place.
-    * A is diagonal (exact backend): conjugate by the anchor embedding,
-      scale by the known eigenvector (1, -1, ..., -1), rewrite.
+    * A is diagonal (exact backend): conjugate by the anchor embedding at
+      the first index k whose value occurs once on the diagonal, scale
+      by the known eigenvector (-1 except +1 at k), rewrite.  A diagonal
+      A whose every value repeats raises :class:`FeasibilityError`.
     * otherwise, in floats: find an eigenvector with no zero entries
       (searching anchor embeddings when A itself has none), scale into
       constant-row-sum form, rewrite.  For a real A the search
@@ -309,19 +317,27 @@ def similar_with_diagonal(
     steps: list[TraceStep] = []
 
     if exact_mode and is_constant_row_sum(A) is not None:
-        q = tuple(g - d for g, d in zip(target.gammas, A.diagonal()))
-        B = set_diagonal_cs(A, target, tol=tol)
+        B, q = _rewrite_diagonal(A, target.gammas)
         steps.append(TraceStep("rank_one", q))
         return _certified(A, B, target, steps)
 
     if exact_mode and A.is_diagonal():
-        M = embed_anchor(A, 0)
-        steps.append(TraceStep("embed", 0))
-        d = (Fraction(1),) + (Fraction(-1),) * (n - 1)
+        # anchor at a value that occurs once: a_kk is then a simple
+        # eigenvalue, and the rewrite at it a similarity
+        diag = A.diagonal()
+        k = next((i for i, a in enumerate(diag) if diag.count(a) == 1), None)
+        if k is None:
+            raise FeasibilityError(
+                "every diagonal value of A repeats, so no anchor gives a "
+                "simple eigenvalue to rewrite at",
+                condition="no-simple-anchor",
+            )
+        M = embed_anchor(A, k)
+        steps.append(TraceStep("embed", k))
+        d = tuple(Fraction(1) if i == k else Fraction(-1) for i in range(n))
         N = diag_similarity(M, d)
         steps.append(TraceStep("scale", d))
-        q = tuple(g - x for g, x in zip(target.gammas, N.diagonal()))
-        B = set_diagonal_cs(N, target, tol=tol)
+        B, q = _rewrite_diagonal(N, target.gammas)
         steps.append(TraceStep("rank_one", q))
         return _certified(A, B, target, steps)
 

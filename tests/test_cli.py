@@ -171,6 +171,15 @@ class TestSimilar:
         code, _, _ = run(tmp_path, {"diagonal": [1]}, "similar")
         assert code == 2
 
+    def test_diagonal_with_every_value_repeated_is_infeasible(self, tmp_path):
+        # no diagonal value is a simple eigenvalue to anchor the rewrite at
+        problem = {"matrix": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]],
+                   "diagonal": [0, 0, 3, 3]}
+        code, doc, _ = run(tmp_path, problem, "similar", "--exact")
+        assert code == 3
+        assert doc["status"] == "infeasible"
+        assert doc["condition"] == "no-simple-anchor"
+
     def test_convergence_failure_is_exit_four(self, tmp_path, monkeypatch):
         def stalled(A, tol=1e-10):
             raise ConvergenceError("QR iteration did not converge within 0 sweeps")
@@ -694,6 +703,14 @@ class TestExactBeyondTheFloatRange:
         assert doc["status"] == "fail"
         assert doc["certificate"]["checks"] == {"nonneg": False}
         assert doc["certificate"]["min_entry"] is None
+
+    def test_verify_against_float_targets_reports_invalid_input(self, tmp_path):
+        # float targets need the matrix's float spectrum, which overflows
+        problem = {"matrix": [[10**400, 0], [0, 3]], "spectrum": [1.5, 3.0]}
+        code, doc, _ = run(tmp_path, problem, "verify")
+        assert code == 2
+        assert doc["status"] == "error"
+        assert "beyond the float range" in doc["error"]
 
     def test_realize_reports_invalid_input(self, tmp_path):
         problem = {"spectrum": [10**400, 0], "diagonal": [10**400, 0]}

@@ -165,10 +165,11 @@ class TestSuleimanova:
     def test_negative_entry_is_a_certification_error(self, monkeypatch):
         import diagforge.nonneg
 
-        def negative_entry(T, target, tol=1e-9):
-            return DenseMatrix([[1, 2, 2], [2, 1, 2], [-1, 6, 0]])
+        def negative_entry(T, gs):
+            B = DenseMatrix([[1, 2, 2], [2, 1, 2], [-1, 6, 0]])
+            return B, tuple(g - d for g, d in zip(gs, T.diagonal()))
 
-        monkeypatch.setattr(diagforge.nonneg, "set_diagonal_cs", negative_entry)
+        monkeypatch.setattr(diagforge.nonneg, "_rewrite_diagonal", negative_entry)
         with pytest.raises(CertificationError, match="negative entry"):
             realize_suleimanova([5, -1, -2], (1, 1, 0))
 
@@ -679,3 +680,49 @@ def test_every_assignment_is_feasible_on_exact_input(tag, monkeypatch):
             assert b.exact and b.diagonal() == gammas, (k, order)
             assert len(calls) == 1, (k, order)
     assert max(sizes) > 12
+
+
+@pytest.mark.parametrize(
+    "tag",
+    [SpectrumClass.SULEIMANOVA_F, SpectrumClass.SMIGOC_G, SpectrumClass.MIXED],
+)
+def test_exact_realization_checks_only_at_entry_and_exit(tag, monkeypatch):
+    # realize_mixed validates its input once and certifies its output once;
+    # on exact input every builder in between is unchecked, so none of the
+    # validating entry points runs, and no matrix goes through the
+    # validating constructor
+    import diagforge
+    import diagforge.eigen
+    import diagforge.matrix
+    import diagforge.nonneg
+    import diagforge.similarity
+
+    calls = []
+
+    def spy(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        DenseMatrix, "__init__", spy("DenseMatrix.__init__", DenseMatrix.__init__)
+    )
+    for module in (diagforge, diagforge.matrix, diagforge.eigen,
+                   diagforge.nonneg, diagforge.similarity):
+        monkeypatch.setattr(
+            module, "is_constant_row_sum",
+            spy("is_constant_row_sum", module.is_constant_row_sum),
+        )
+    for name in ("perfect_feasible", "construct_3x3", "smigoc_glue",
+                 "realize_suleimanova"):
+        for module in (diagforge, diagforge.nonneg):
+            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    rng = random.Random(f"checked once:{tag.value}")
+    for k in range(20):
+        vals, gammas = _in_class_problem(rng, tag)
+        for order in ("keep", "auto"):
+            b, plan = realize_mixed(vals, gammas, order=order)
+            assert plan.certificate.ok and b.diagonal() == gammas, (k, order)
+            assert calls == [], (k, order)

@@ -12,7 +12,7 @@ import diagforge.matrix
 from diagforge.certify import certify
 from diagforge.eigen import char_poly, eigenvalues, match_multisets, right_eigenvector
 from diagforge.errors import CertificationError, FeasibilityError
-from diagforge.matrix import DenseMatrix
+from diagforge.matrix import DenseMatrix, exact_nullspace
 from diagforge.similarity import (
     DiagonalTarget,
     _certified,
@@ -163,6 +163,49 @@ class TestSimilarWithDiagonal:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
             similar_with_diagonal(DenseMatrix.diagonal_matrix([1, 2, 3]), (3, 3))
+
+
+def _nullity(B: DenseMatrix, lam) -> int:
+    """dim ker(B - lam I), exactly."""
+    shifted = B - DenseMatrix.diagonal_matrix([lam] * B.n)
+    return len(exact_nullspace(shifted))
+
+
+class TestDiagonalAnchor:
+    """The exact diagonal route rewrites at a simple eigenvalue, so B is
+    similar to A: for a diagonal A that means B is diagonalizable, with
+    dim ker(B - lam I) equal to the multiplicity of lam on A's diagonal."""
+
+    def test_repeated_value_at_index_zero(self):
+        A = DenseMatrix.diagonal_matrix([1, 1, 2])
+        B, trace = similar_with_diagonal(A, (0, 0, 4))
+        assert B.diagonal() == (0, 0, 4)
+        assert _nullity(B, 1) == 2 and _nullity(B, 2) == 1
+        assert [s.data for s in trace.steps][:1] == [2]
+        assert trace.replay(A) == B
+
+    def test_criterion_4_generator_keeps_the_jordan_structure(self):
+        rng = random.Random(20260401)
+        done = 0
+        while done < 200:
+            n = rng.randint(2, 8)
+            diag = [rng.randint(-9, 9) for _ in range(n)]
+            if len(set(diag)) == 1:
+                continue
+            A = DenseMatrix.diagonal_matrix(diag)
+            gs = [rng.randint(-9, 9) for _ in range(n - 1)]
+            gs.append(A.trace() - sum(gs))
+            B, _ = similar_with_diagonal(A, tuple(gs))
+            assert B.exact and B.diagonal() == tuple(gs)
+            for lam in set(diag):
+                assert _nullity(B, lam) == diag.count(lam), (diag, gs)
+            done += 1
+
+    def test_every_value_repeated_is_infeasible(self):
+        with pytest.raises(FeasibilityError) as err:
+            A = DenseMatrix.diagonal_matrix([1, 1, 2, 2])
+            similar_with_diagonal(A, (0, 0, 3, 3))
+        assert err.value.condition == "no-simple-anchor"
 
 
 def _jordan_conjugate(seed):
