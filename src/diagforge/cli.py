@@ -18,9 +18,14 @@ exact ``similar`` problem that takes the float route.
 A section of plain finite JSON numbers is parsed in one pass; anything
 else (bools, strings, pairs, NaN or Infinity, a float under --exact)
 goes entry by entry through ``parse_scalar``, which reports the errors.
-A real float matrix, and a tuple of floats in a trace, are emitted as
-they are, without per-entry dispatch.  ``main`` builds the argument
-parser on its first call and reuses it.
+A matrix of plain ints, with or without --exact, is built from the ints
+by ``DenseMatrix._from_ints``, which sets its float array and integer
+view too.  A real float matrix, and a tuple of floats in a trace, are
+emitted as they are, without per-entry dispatch.  ``write_output``
+formats the document itself, each list of floats, ints or strings with
+one C-level formatter; the bytes are those of ``json.dumps(doc,
+indent=2, allow_nan=False)`` plus a newline.  ``main`` builds the
+argument parser on its first call and reuses it.
 """
 
 from __future__ import annotations
@@ -30,7 +35,9 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import partial
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .certify import certify
@@ -130,6 +137,8 @@ def parse_matrix(raw, exact_only: bool) -> DenseMatrix:
     flat = None
     if all(isinstance(row, list) and len(row) == n for row in raw):
         flat = _plain_numbers(list(chain.from_iterable(raw)), exact_only)
+        if flat is not None and type(flat[0]) is int:  # all ints
+            return DenseMatrix._from_ints(flat, n)
     if flat is None:
         rows = []
         for row in raw:
@@ -202,12 +211,89 @@ def emit_matrix(B: DenseMatrix, exact_out: bool):
 
 
 def write_output(doc: dict, path: Optional[str]):
-    text = json.dumps(doc, indent=2, allow_nan=False)
+    """Write ``doc`` as ``json.dumps(doc, indent=2, allow_nan=False)``
+    writes it, plus a newline."""
+    out: list = []
+    _json_text(doc, "\n", out)
+    out.append("\n")
+    text = "".join(out)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
+
+
+def _json_text(o, nl: str, out: list) -> None:
+    """Append to ``out`` the text ``json.dumps(..., indent=2,
+    allow_nan=False)`` gives ``o``, whose dict keys are strings, where
+    ``nl`` (a newline and the indent) starts o's line.  A list or tuple
+    of scalars is joined in one pass, and one of a single type in
+    ``_LEAF_TEXT`` is formatted by one C-level formatter."""
+    if isinstance(o, dict):
+        items, ends = [(encode_basestring_ascii(k) + ": ", v) for k, v in o.items()], "{}"
+    elif isinstance(o, (list, tuple)):
+        kinds = set(map(type, o))
+        if o and kinds <= _SCALAR_TYPES:
+            leaf = _LEAF_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+            inner = nl + "  "
+            texts = leaf(o) if leaf else map(_scalar_text, o)
+            out.append("[" + inner + ("," + inner).join(texts) + nl + "]")
+            return
+        items, ends = [("", v) for v in o], "[]"
+    else:
+        out.append(_scalar_text(o))
+        return
+    if not items:
+        out.append(ends)
+        return
+    inner = nl + "  "
+    sep = ends[0] + inner
+    for key, v in items:
+        out.append(sep + key)
+        _json_text(v, inner, out)
+        sep = "," + inner
+    out.append(nl + ends[1])
+
+
+def _scalar_text(o) -> str:
+    """json's text for one value that is not a list, tuple or dict."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return next(_float_texts([o]))
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _float_texts(values):
+    """``float.__repr__`` of each float, as json writes a finite one; a
+    NaN or infinity raises json's ``ValueError``.  Any of them makes the
+    sum non-finite (so may large finite floats, which the loop passes)."""
+    if not math.isfinite(sum(values)):
+        for v in values:
+            if not math.isfinite(v):
+                raise ValueError(
+                    f"Out of range float values are not JSON compliant: {v!r}"
+                )
+    return map(float.__repr__, values)
+
+
+# the exact types of scalars json writes, and the formatter of a list
+# whose items are all of one key type (a bool is no int here)
+_SCALAR_TYPES = {str, int, float, bool, type(None)}
+_LEAF_TEXT = {
+    float: _float_texts,
+    int: partial(map, int.__repr__),
+    str: partial(map, encode_basestring_ascii),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ inputs are never modified.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -61,14 +62,17 @@ def _scale_to_integers(rows):
             return False
         r = math.lcm(*dens)
         ints = [x.numerator * (r // d) for x, d in zip(row, dens)]
-        sq = sum(v * v for v in ints)
-        norm = math.isqrt(sq)
-        if norm * norm < sq:
-            norm += 1
         out.append((r, ints))
         lcm_prod *= r
-        height *= r + norm
+        height *= r + _ceil_norm(ints)
     return out, lcm_prod, height
+
+
+def _ceil_norm(ints: list) -> int:
+    """ceil(||ints||_2) for a list of integers."""
+    sq = sum(map(operator.mul, ints, ints))
+    norm = math.isqrt(sq)
+    return norm + (norm * norm < sq)
 
 
 class DenseMatrix:
@@ -120,6 +124,31 @@ class DenseMatrix:
         object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "_numeric", None)
         object.__setattr__(self, "_integer", None)
+        return self
+
+    @classmethod
+    def _from_ints(cls, flat: list, n: int) -> "DenseMatrix":
+        """Wrap the n x n matrix whose row-major entries are the Python
+        ints ``flat``, as the parser reads an all-integer section.
+
+        The rows hold one ``Fraction`` per distinct value (``Fraction`` is
+        immutable, so sharing one keeps the ``_trusted`` contract).  The
+        integer view is set from the ints themselves: every r_i is 1, so
+        L = 1 and H = prod (1 + ceil(||row_i||_2)).  The array is set from
+        the ints when each converts to a float exactly (|v| < 2^53);
+        otherwise :meth:`_facts` builds it on first use, and raises
+        ``OverflowError`` for an int beyond the float range.
+        """
+        values = set(flat)
+        fractions = {v: Fraction(v) for v in values}
+        ints = [flat[i * n : (i + 1) * n] for i in range(n)]
+        self = cls._trusted([tuple(map(fractions.__getitem__, r)) for r in ints], True)
+        height = 1
+        for row in ints:
+            height *= 1 + _ceil_norm(row)
+        object.__setattr__(self, "_integer", ([(1, row) for row in ints], 1, height))
+        if -(2**53) < min(values) and max(values) < 2**53:
+            self._remember(np.array(ints, dtype=float))
         return self
 
     @classmethod
@@ -410,15 +439,24 @@ def row_sums(A: DenseMatrix) -> tuple:
 def is_constant_row_sum(A: DenseMatrix, tol: float = 1e-9):
     """Return the common row sum when all rows agree, else None.
 
-    Exact backend: agreement must be exact and ``tol`` is ignored.  Float
+    Exact backend: agreement must be exact and ``tol`` is ignored; a
+    rational matrix is read from its integer view.  Float
     backend: the maximum deviation from the mean row sum must be at most
     ``tol * max(1, |mean|)``; the mean is returned.
     """
     if not A.exact:
         return _row_sum_mean(A.to_numpy(), tol)
-    rows = iter(A.rows)
-    alpha = sum(next(rows))
-    return alpha if all(sum(r) == alpha for r in rows) else None
+    view = A._integer_view()
+    if view is None:
+        rows = iter(A.rows)
+        alpha = sum(next(rows))
+        return alpha if all(sum(r) == alpha for r in rows) else None
+    # row i sums to s_i / r_i: compare the integer sums by cross multiplication
+    (r0, ints), *rest = view[0]
+    s0 = sum(ints)
+    if all(sum(row) * r0 == s0 * r for r, row in rest):
+        return Fraction(s0, r0)
+    return None
 
 
 def _row_sums_array(a: np.ndarray) -> np.ndarray:

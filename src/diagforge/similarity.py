@@ -1,8 +1,9 @@
 """Similarity constructions that prescribe the diagonal of a matrix.
 
 The central fact: adding e q^T to a constant-row-sum matrix with
-sum(q) = 0 is a similarity, so the diagonal can be rewritten freely as
-long as the trace is preserved.  A general matrix is first moved into
+sum(q) = 0 is a similarity when the row sum is a simple eigenvalue, so
+the diagonal can then be rewritten freely as long as the trace is
+preserved.  A general matrix is first moved into
 constant-row-sum form by scaling with an eigenvector that has no zero
 entries; when no such eigenvector exists (diagonal matrices are the
 canonical case) an embedding trick manufactures one.
@@ -24,6 +25,7 @@ from .matrix import (
     _row_sum_mean,
     _row_sums_array,
     diag_similarity,
+    exact_nullspace,
     is_constant_row_sum,
     normalize_vector,
     rank_one_add,
@@ -268,7 +270,9 @@ def similar_with_diagonal(
     Requires A non-scalar and sum(gammas) = trace(A).  Three routes, tried
     in order:
 
-    * A already has constant row sums: rewrite the diagonal in place.
+    * A already has constant row sums (exact backend): rewrite the
+      diagonal in place.  The row sum must be a simple eigenvalue of A,
+      else :class:`FeasibilityError` (``repeated-row-sum``) is raised.
     * A is diagonal (exact backend): conjugate by the anchor embedding at
       the first index k whose value occurs once on the diagonal, scale
       by the known eigenvector (-1 except +1 at k), rewrite.  A diagonal
@@ -316,7 +320,9 @@ def similar_with_diagonal(
 
     steps: list[TraceStep] = []
 
-    if exact_mode and is_constant_row_sum(A) is not None:
+    alpha = is_constant_row_sum(A) if exact_mode else None
+    if alpha is not None:
+        _require_simple_row_sum(A, alpha)
         B, q = _rewrite_diagonal(A, target.gammas)
         steps.append(TraceStep("rank_one", q))
         return _certified(A, B, target, steps)
@@ -382,6 +388,28 @@ def similar_with_diagonal(
     B, q = _set_diagonal_array(M, gf, max(tol, 1e-6))
     steps.append(TraceStep("rank_one", q))
     return _certified(A, DenseMatrix._from_array(B), target, steps, spec_a)
+
+
+def _require_simple_row_sum(A: DenseMatrix, alpha) -> None:
+    """Raise :class:`FeasibilityError` unless the row sum ``alpha`` of
+    the exact constant-row-sum matrix A is a simple eigenvalue of A.
+
+    A e = alpha e, so alpha is simple exactly when (A - alpha I)^T has a
+    one-dimensional nullspace, spanned by a y with y . e != 0.  The
+    rewrite A + e q^T with sum(q) = 0 is then a similarity; at a
+    repeated alpha it can change the Jordan structure.
+    """
+    shifted = [
+        [x - alpha if i == j else x for i, x in enumerate(col)]
+        for j, col in enumerate(zip(*A.rows))
+    ]
+    null = exact_nullspace(DenseMatrix._trusted(shifted, True))
+    if len(null) != 1 or not sum(null[0]):
+        raise FeasibilityError(
+            "the row sum of A is a repeated eigenvalue, so rewriting the "
+            "diagonal at it need not be a similarity",
+            condition="repeated-row-sum",
+        )
 
 
 def _certified(A, B, target, steps, spec_a=None):

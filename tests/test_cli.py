@@ -1,13 +1,18 @@
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import diagforge.eigen
+import diagforge.matrix
 from diagforge.cli import main, parse_matrix
 from diagforge.eigen import SpectrumEstimate
 from diagforge.errors import ConvergenceError
@@ -840,3 +845,161 @@ class TestParserReuse:
         before = run(tmp_path, problem, command, *first)
         assert before != fresh
         assert run(tmp_path, problem, command, *second) == fresh
+
+
+class TestIntegerParse:
+    """An all-integer matrix enters as integers: one builder sets its
+    entries, its array and its integer view, and the output stays what
+    the Fraction rows gave, byte for byte."""
+
+    BIG = 10**400
+    # (matrix, diagonal) per case, and per command the exit code and the
+    # sha256 of the output the Fraction-row parser and json.dumps gave
+    CASES = {
+        "huge-diagonal": ([[BIG, 0], [0, 1]], [1, BIG]),
+        "huge-dense": ([[BIG, 1], [2, 3]], [3, BIG]),
+        "2^53+1": ([[2**53 + 1, 1], [2, 3]], [3, 2**53 + 1]),
+        "2^64": ([[2**64, 1], [2, 3]], [3, 2**64]),
+        "-2^70": ([[-2**70, 1], [2, 3]], [3, -2**70]),
+        "constant-row-sums": ([[1, 2], [3, 0]], [0, 1]),
+    }
+    DIGESTS = {
+        "huge-diagonal": (
+            (0, "b0b95cb614bb0b68fe0f038a9923c5b9c38debe9bd143c3cee43548965c529e9"),
+            (1, "55e72fc89bde091e1271ef0618b1c7899cb03d4c355de5652c56a558b8a4b382"),
+        ),
+        "huge-dense": (
+            (2, "618ce3534ddcd6c7adce66c52fcb15a60c8d163c40b1bed9fae582e15bba15cd"),
+            (1, "55e72fc89bde091e1271ef0618b1c7899cb03d4c355de5652c56a558b8a4b382"),
+        ),
+        "2^53+1": (
+            (0, "046c6fa3caf70b41b9ade4b37921d9ba092d807e2401e9cd3241f13e757bd517"),
+            (1, "5c5d79f6772650b7664affef1a62fe19d5df8a6121f057c64521cd34a30796b5"),
+        ),
+        "2^64": (
+            (0, "e17c8cd67230908e7ab9bb4ab90934b8ead11db5f676104617a7809eac0d1605"),
+            (1, "4e52772f76fe8dd555a604146fe799929a4d3e382d91eda3769f448ed149766f"),
+        ),
+        "-2^70": (
+            (0, "52a691a3dda086ef7117c8cc45e0ff8b862ded5360f9548deba50900cbd33550"),
+            (1, "4c5ec0742a2de047ee7b9db18f23d25688da6029f937ce7e8c32b4bea7c5a6db"),
+        ),
+        "constant-row-sums": (
+            (0, "841f0bd2e9352f846cf9a094b1026ca3d76dd037465cc2afaff864756470a21e"),
+            (0, "a45b49681eca36542f90a7104e3a8bf7128fc1580e025c48ef8d7332952dfb6a"),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("flags", [[], ["--exact"]], ids=["", "exact"])
+    def test_similar_bytes_and_exit_code(self, tmp_path, case, flags):
+        matrix, diagonal = self.CASES[case]
+        problem = {"matrix": matrix, "diagonal": diagonal}
+        code, _, text = run(tmp_path, problem, "similar", *flags)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert (code, digest) == self.DIGESTS[case][0]
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_verify_bytes_and_exit_code(self, tmp_path, case):
+        problem = {"matrix": self.CASES[case][0], "constant_row_sums": True}
+        code, _, text = run(tmp_path, problem, "verify")
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert (code, digest) == self.DIGESTS[case][1]
+
+    @pytest.mark.parametrize("exact_only", [False, True])
+    def test_parsed_integer_matrix_carries_its_facts(self, exact_only):
+        A = parse_matrix([[4, -1, 0], [2, 7, -3], [0, 5, 2]], exact_only)
+        assert A._integer is not None and A._numeric is not None
+        # H = prod (1 + ceil ||row_i||_2): norms sqrt(17), sqrt(62), sqrt(29)
+        assert A._integer_view() == ([(1, [4, -1, 0]), (1, [2, 7, -3]), (1, [0, 5, 2])], 1,
+                                     6 * 9 * 7)
+        assert A.to_numpy().tolist() == [[4.0, -1.0, 0.0], [2.0, 7.0, -3.0], [0.0, 5.0, 2.0]]
+
+    def test_verify_reuses_the_parsed_view(self, tmp_path, monkeypatch):
+        def forbidden(rows):
+            raise AssertionError("the integer view was computed again")
+
+        monkeypatch.setattr(diagforge.matrix, "_scale_to_integers", forbidden)
+        problem = {"matrix": [[1, 2], [3, 0]], "spectrum": [3, -2], "diagonal": [1, 0],
+                   "nonneg": True, "constant_row_sums": True}
+        code, doc, _ = run(tmp_path, problem, "verify")
+        assert code == 0
+        assert doc["certificate"]["checks"] == {
+            "spectrum": True, "diagonal": True, "nonneg": True, "constant_row_sums": True,
+        }
+
+
+def _json_docs():
+    """Documents for the writer: nested dicts, lists and tuples of floats,
+    ints past 64 bits, strings that need escaping, bools and None, empty
+    containers among them."""
+    floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+        [-0.0, 5e-324, 1e16, 1e-05, 1e308]
+    )
+    ints = st.integers() | st.integers(min_value=2**63 - 2, max_value=2**70).map(
+        lambda v: -v
+    ) | st.integers(min_value=2**63 - 2, max_value=2**200)
+    texts = st.text(st.sampled_from(',"\n\\/ aZ\x00\x1f\x7fé€\U0001f600')) | st.text()
+    scalars = floats | ints | texts | st.booleans() | st.none()
+    leaf_lists = st.lists(floats) | st.lists(ints) | st.lists(texts)
+    return st.recursive(
+        scalars | leaf_lists,
+        lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+        | st.dictionaries(texts, inner),
+        max_leaves=40,
+    )
+
+
+def _written(doc) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.write_output(doc, None)
+    return out.getvalue()
+
+
+class TestWriteOutput:
+    """``write_output`` writes what ``json.dumps(doc, indent=2,
+    allow_nan=False)`` writes, without calling it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_json_docs())
+    def test_matches_json_dumps(self, doc):
+        assert _written(doc) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"a": [1.0, math.nan]},
+            {"a": -math.inf},
+            [math.inf],
+            {"k": [[1.0], (2.0, -math.inf)], "later": math.nan},
+            [1, "x", math.nan],
+            {"big": [1e308, 1e308], "bad": [math.inf, math.nan]},
+        ],
+    )
+    def test_non_finite_float_raises_json_error(self, doc):
+        with pytest.raises(ValueError) as want:
+            json.dumps(doc, indent=2, allow_nan=False)
+        with pytest.raises(ValueError) as got:
+            _written(doc)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("doc", [{"a": [1, Fraction(1, 2)]}, [object()], {"b": {3j}}])
+    def test_unserializable_value_raises_json_error(self, doc):
+        with pytest.raises(TypeError) as want:
+            json.dumps(doc, indent=2, allow_nan=False)
+        with pytest.raises(TypeError) as got:
+            _written(doc)
+        assert str(got.value) == str(want.value)
+
+    def test_never_calls_json_dumps(self, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("write_output called json.dumps")
+
+        problem = {"matrix": [[4.0, 1.5], [2.0, 1.0]], "diagonal": [3.0, 2.0]}
+        inp = tmp_path / "problem.json"
+        inp.write_text(json.dumps(problem))
+        monkeypatch.setattr(json, "dumps", forbidden)
+        out = tmp_path / "result.json"
+        assert main(["similar", "--input", str(inp), "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["status"] == "ok"

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from diagforge.eigen import char_poly, eigenvalues, match_multisets
 from diagforge.matrix import (
     DenseMatrix,
+    _entries_array,
+    _scale_to_integers,
     diag_similarity,
     exact_nullspace,
     is_constant_row_sum,
@@ -308,3 +310,65 @@ def test_min_real_entry_reads_the_integer_view(seed):
     got = a.min_real_entry()
     assert type(got) is Fraction
     assert got == min(x for r in a.rows for x in r)
+
+
+# -- matrices built from parsed integers -----------------------------------
+
+
+def _int_case(seed):
+    """A seeded integer matrix, row-major, with zeros, repeated values and
+    now and then an entry at or beyond 2^53 or beyond the float range."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 7)
+    flat = [rng.choice([0, rng.randint(-9, 9), rng.randint(-10**6, 10**6)]) for _ in range(n * n)]
+    if seed % 3 == 1:
+        flat[rng.randrange(n * n)] = rng.choice([2**53 - 1, 2**53, 2**53 + 1, 2**64, -2**70])
+    if seed % 6 == 5:
+        flat[rng.randrange(n * n)] = -10**400
+    return flat, n
+
+
+@pytest.mark.parametrize("seed", range(18))
+def test_matrix_from_ints_equals_the_fraction_rows(seed):
+    flat, n = _int_case(seed)
+    a = DenseMatrix._from_ints(list(flat), n)
+    ref = DenseMatrix._trusted(
+        [[Fraction(v) for v in flat[i * n : (i + 1) * n]] for i in range(n)], True
+    )
+    assert (a.n, a.exact, a.rows) == (ref.n, ref.exact, ref.rows)
+    assert {type(x) for r in a.rows for x in r} == {Fraction}
+    assert a == ref and hash(a) == hash(ref)
+    assert a._integer_view() == _scale_to_integers(ref.rows)
+    try:
+        want = _entries_array(ref.rows, True)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            a.to_numpy()
+        return
+    arr = a.to_numpy()
+    assert arr.dtype == want.dtype and arr.tobytes() == want.tobytes()
+    assert not arr.flags.writeable
+    assert (a.max_abs(), a.is_real()) == (ref.max_abs(), ref.is_real())
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_exact_constant_row_sum_reads_the_integer_view(seed):
+    rng = random.Random(seed)
+    a = _rational_case(seed)
+    n = a.n
+    # make every row sum to the same rational in half of the cases
+    if seed % 2:
+        alpha = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        a = DenseMatrix([list(r[:-1]) + [alpha - sum(r[:-1])] for r in a.rows])
+    rows = iter(a.rows)
+    first = sum(next(rows))
+    want = first if all(sum(r) == first for r in rows) else None
+    got = is_constant_row_sum(a)
+    assert got == want and type(got) is type(want)
+    assert (got is not None) == (seed % 2 == 1 or n == 1)
+
+
+def test_constant_row_sum_over_complex_rationals():
+    z = exact_complex(1, 2)
+    assert is_constant_row_sum(DenseMatrix([[z, 1], [1, z]])) == z + 1
+    assert is_constant_row_sum(DenseMatrix([[z, 1], [2, z]])) is None

@@ -208,6 +208,56 @@ class TestDiagonalAnchor:
         assert err.value.condition == "no-simple-anchor"
 
 
+class TestRowSumAnchor:
+    """The exact constant-row-sum route rewrites only at a simple row sum
+    alpha; at a repeated one the rewrite can change the Jordan structure,
+    so the route reports the input as infeasible."""
+
+    NILPOTENT = [
+        ["-5/6", "8/3", "1/2", "-7/3"],
+        ["-5/6", "-1/3", "1/2", "2/3"],
+        ["-1/6", "4/3", "1/2", "-5/3"],
+        ["-5/6", "-1/3", "1/2", "2/3"],
+    ]
+
+    def test_one_jordan_block_at_the_row_sum_is_infeasible(self):
+        # every row sums to 0 and A is nilpotent with one Jordan block:
+        # nullity(A) = 1, and its left null vector is orthogonal to e
+        A = DenseMatrix([[Fraction(x) for x in r] for r in self.NILPOTENT])
+        assert _nullity(A, 0) == 1
+        with pytest.raises(FeasibilityError) as err:
+            similar_with_diagonal(A, (3, -2, 0, -1))
+        assert err.value.condition == "repeated-row-sum"
+
+    def test_semisimple_double_row_sum_is_infeasible(self):
+        # row sums 2; eigenvalues 0, 2, 2 with two independent eigenvectors
+        A = DenseMatrix([[1, 1, 0], [1, 1, 0], [0, 0, 2]])
+        with pytest.raises(FeasibilityError) as err:
+            similar_with_diagonal(A, (0, 0, 4))
+        assert err.value.condition == "repeated-row-sum"
+
+    def test_simple_row_sum_keeps_the_jordan_structure(self):
+        # row sums 3, a simple eigenvalue; 1 is a double, defective one
+        A = DenseMatrix([[1, 1, 1], [0, 1, 2], [0, 0, 3]])
+        assert _nullity(A, 3) == 1 and _nullity(A, 1) == 1
+        B, trace = similar_with_diagonal(A, (0, 4, 1))
+        assert B.diagonal() == (0, 4, 1)
+        assert char_poly(B) == char_poly(A)
+        assert [s.op for s in trace.steps] == ["rank_one"]
+        assert _nullity(B, 3) == 1 and _nullity(B, 1) == 1
+
+    def test_cli_exits_3(self, tmp_path):
+        import json
+
+        from diagforge.cli import main
+
+        inp, out = tmp_path / "p.json", tmp_path / "r.json"
+        inp.write_text(json.dumps({"matrix": self.NILPOTENT, "diagonal": [3, -2, 0, -1]}))
+        assert main(["similar", "--exact", "--input", str(inp), "--output", str(out)]) == 3
+        doc = json.loads(out.read_text())
+        assert (doc["status"], doc["condition"]) == ("infeasible", "repeated-row-sum")
+
+
 def _jordan_conjugate(seed):
     """Integer P J P^-1 for a Jordan form J with 2x2 blocks, P unimodular,
     plus an integer target diagonal with the right trace."""
