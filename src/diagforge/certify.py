@@ -8,10 +8,14 @@ finding.  A rational matrix B is read from its integer view (each row
 scaled to integers by the lcm of its denominators, computed once per
 matrix): its spectrum by the identity L_q char_poly(B) = Q, where Q is
 the targets' integer polynomial L_q prod(t - target), decided by
-``eigen.char_poly_matches`` in one Hessenberg run of B modulo the
-word-size primes it needs, in one numpy kernel, with the primes' product
-above L_q H_B + L_B ||Q||_inf; its sign and row sums from the same
-integers.  An exact matrix with a nonreal entry is compared over Q(i).
+``eigen.char_poly_matches``; its sign and row sums from the same
+integers.  When B's rows all sum to alpha, that identity deflates B's
+all-ones eigenvector, char_poly(B) = (t - alpha) char_poly(D), and when
+D splits into diagonal blocks of size 1 and 2 (every Suleimanova-type
+output B = T + e q^T does) it is decided in Python integers.  Any other
+rational B runs once through the Hessenberg kernel modulo the word-size
+primes it needs, with the primes' product above L_q H_B + L_B ||Q||_inf.
+An exact matrix with a nonreal entry is compared over Q(i).
 Certification never raises on a bad matrix: the result carries a verdict
 per requested check plus the residuals that justify it, so callers can
 decide what a failure means.
@@ -27,12 +31,13 @@ from typing import Optional, Sequence
 
 from .eigen import (
     _integer_rows,
+    _poly_mul,
     char_poly_matches,
     eigenvalues,
     match_multisets,
     same_char_poly,
 )
-from .matrix import DenseMatrix, row_sums
+from .matrix import DenseMatrix, is_constant_row_sum, row_sums
 from .scalars import im_part, is_exact, is_real, re_part, scalar_abs, to_float
 
 SPECTRUM_REL_TOL = 1e-7
@@ -111,7 +116,9 @@ def certify(
     Q = L_q prod(t - target): a factor d t - a for each rational a / d
     and d^2 t^2 - 2 a d t + (a^2 + b^2) for each pair (a +- bi) / d, so
     L_q is the product of the factors' leading coefficients.
-    ``eigen.char_poly_matches`` then checks L_q char_poly(B) = Q modulo
+    ``eigen.char_poly_matches`` then checks L_q char_poly(B) = Q: in
+    Python integers when B has constant row sums and deflating its
+    all-ones eigenvector leaves blocks of size 1 and 2, else modulo
     word-size primes whose product exceeds L_q H_B + L_B ||Q||_inf,
     running only B through the modular kernel; targets not closed under
     conjugation fail, since the char poly of a real B is real.  An exact
@@ -123,7 +130,9 @@ def certify(
     A rational B is read for the other checks from its integer view
     (each row i scaled by the lcm r_i of its denominators), the one the
     spectrum check uses: the nonneg verdict is the sign of the smallest
-    entry min(r_i row_i) / r_i, and row i sums to sum(r_i row_i) / r_i.
+    entry min(r_i row_i) / r_i, and row i sums to sum(r_i row_i) / r_i
+    (``matrix.is_constant_row_sum``); the deviation of the row sums is
+    computed only when they differ.
     A value beyond the float range is recorded as infinite (``null`` in
     :meth:`RealizationCertificate.to_dict`).  Never raises on a failing
     check; an exact B whose eigenvalues cannot be computed in floats, for
@@ -200,20 +209,13 @@ def certify(
             thresholds["nonneg"] = NONNEG_SLACK
 
     if constant_row_sums:
-        view = _integer_rows(B)
-        if view is not None:
-            sums = [(sum(ints), r) for r, ints in view[0]]
-            s0, r0 = sums[0] if sums else (0, 1)
-            ok = all(s * r0 == s0 * r for s, r in sums)
-            row_sum_deviation = 0.0 if ok else max(
-                _modulus(Fraction(s, r) - Fraction(s0, r0)) for s, r in sums
-            )
+        if B.exact:
+            ok = is_constant_row_sum(B) is not None
+            row_sum_deviation = 0.0
+            if not ok:
+                sums = row_sums(B)
+                row_sum_deviation = max(_modulus(s - sums[0]) for s in sums)
             checks["constant_row_sums"] = ok
-            thresholds["constant_row_sums"] = 0.0
-        elif B.exact:
-            sums = row_sums(B)
-            row_sum_deviation = max(_modulus(s - sums[0]) for s in sums)
-            checks["constant_row_sums"] = all(s == sums[0] for s in sums)
             thresholds["constant_row_sums"] = 0.0
         else:
             sums = row_sums(B)
@@ -273,11 +275,3 @@ def _target_poly(targets: list) -> Optional[list]:
         poly = _poly_mul(poly, factor)
     return poly
 
-
-def _poly_mul(p: list, q: tuple) -> list:
-    """Product of two integer polynomials, highest degree first."""
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out

@@ -1,9 +1,13 @@
 """Dense eigenvalue engine used to certify every construction in the package.
 
 Exact outputs are certified by characteristic-polynomial identity, with
-no root finding: for rational matrices :func:`same_char_poly` (two
-matrices) and :func:`char_poly_matches` (a matrix and an integer
-polynomial) run the Hessenberg reduction and recurrence on int64
+no root finding.  :func:`char_poly_matches` (a matrix and an integer
+polynomial) first deflates the all-ones eigenvector of a rational
+matrix with constant row sums; when what is left splits into diagonal
+blocks of size 1 and 2, as it does for every Suleimanova-type output,
+the identity is decided in Python integers, with no prime and no bound.
+Otherwise, for rational matrices, it and :func:`same_char_poly` (two
+matrices) run the Hessenberg reduction and recurrence on int64
 residues modulo the fewest table primes below 2^26 whose product exceeds
 a Hadamard-type bound on the coefficients, all primes and matrices in
 one numpy kernel.  The residues come from each matrix's integer view,
@@ -43,7 +47,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConvergenceError
-from .matrix import DenseMatrix, is_constant_row_sum
+from .matrix import DenseMatrix, deflated_rows, is_constant_row_sum
 from .scalars import scalar_abs, to_float
 
 _EPS = float(np.finfo(float).eps)
@@ -347,16 +351,46 @@ def char_poly_matches(B: DenseMatrix, poly: Sequence[int]) -> bool:
     """Whether ``poly == poly[0] * char_poly(B)`` for an exact B and an
     integer polynomial ``poly`` (highest degree first, poly[0] > 0).
 
-    For a rational B, with r_i, L_B and H_B as in :func:`same_char_poly`
-    and Q = poly, L_q = Q[0]: L_B c_k(B) is an integer of modulus at most
-    H_B, so L_B (L_q c_k(B) - Q_k) is an integer of modulus at most
-    M = L_q H_B + L_B ||Q||_inf.  B's residues are taken modulo the
-    fewest table primes whose product exceeds M, skipping any that
-    divides an r_i, and :func:`_char_polys_mod` runs them once (one slice
-    per prime).  A chosen p does not divide L_B, so it divides
-    L_B (L_q c_k(B) - Q_k) exactly when (L_q mod p) c_k(B) = Q_k modulo
-    p; agreement modulo all of them is the identity over Q.  A prime that
-    divides L_q needs no skipping, since nothing is divided by L_q.
+    A rational B whose rows all sum to alpha is first deflated
+    (:func:`_deflated_match`).  When that leaves only diagonal blocks of
+    size 1 and 2 the identity is decided there, in Python integers, with
+    no prime and no bound.  Soundness, from B alone (nothing is taken
+    from its construction):
+
+    * With S = I - (e - e_0) e_0^T, S is a similarity, and B e = alpha e
+      makes column 0 of S B S^-1 equal to (alpha, 0, ..., 0)^T, so
+      S B S^-1 = [[alpha, *], [0, D]] with D_ij = b_ij - b_0j (i, j >= 1;
+      :func:`~diagforge.matrix.deflated_rows`) and char(B) =
+      (t - alpha) char(D).  A permutation of D to block-triangular form,
+      one block per strongly connected component of D's nonzero pattern
+      (:func:`_small_blocks`), keeps the char poly, so char(D) is the
+      product of the blocks' char polys.
+    * Let alpha = a / d in lowest terms and Q = poly.  alpha is an
+      eigenvalue of B, so if Q(alpha) != 0 the verdict is False.
+    * Otherwise Gauss's lemma gives Q = (d t - a) Q'' with Q'' in Z[t];
+      the division by d t - a is exact in Z[t] exactly when Q(alpha) = 0.
+    * Each block's char poly is scaled to integers by its rows' m_i, with
+      a_ij the integers of D's rows (row i of D is a_i / m_i): a 1x1
+      block gives m_i t - a_ii, a 2x2 block m_i m_j t^2 -
+      (a_ii m_j + a_jj m_i) t + (a_ii a_jj - a_ij a_ji).  Let P be their
+      product and Lam the product of their leading coefficients, so
+      char(D) = P / Lam.
+    * Q[0] char(B) = Q means Q[0] (t - alpha) P / Lam = (d t - a) Q'', and
+      with Q[0] = d Q''[0] that holds exactly when Q''[0] P == Lam Q''.
+    * Row 0 as the reference, n = 1 (D is empty, P = 1) and n = 2 need
+      no special case.
+
+    Otherwise, for a rational B, with r_i, L_B and H_B as in
+    :func:`same_char_poly` and Q = poly, L_q = Q[0]: L_B c_k(B) is an
+    integer of modulus at most H_B, so L_B (L_q c_k(B) - Q_k) is an
+    integer of modulus at most M = L_q H_B + L_B ||Q||_inf.  B's residues
+    are taken modulo the fewest table primes whose product exceeds M,
+    skipping any that divides an r_i, and :func:`_char_polys_mod` runs
+    them once (one slice per prime).  A chosen p does not divide L_B, so
+    it divides L_B (L_q c_k(B) - Q_k) exactly when (L_q mod p) c_k(B) =
+    Q_k modulo p; agreement modulo all of them is the identity over Q.  A
+    prime that divides L_q needs no skipping, since nothing is divided by
+    L_q.
 
     When B has a nonreal entry, exceeds ``KERNEL_MAX_N`` rows or M
     exceeds what the table can cover, ``char_poly(B)`` is computed over
@@ -365,6 +399,10 @@ def char_poly_matches(B: DenseMatrix, poly: Sequence[int]) -> bool:
     if len(poly) != B.n + 1:
         return False
     view = _integer_rows(B)
+    if view is not None:
+        verdict = _deflated_match(B, poly)
+        if verdict is not None:
+            return verdict
     if view is not None and B.n <= KERNEL_MAX_N:
         _, l_b, h_b = view
         bound = poly[0] * h_b + l_b * max(map(abs, poly))
@@ -375,6 +413,94 @@ def char_poly_matches(B: DenseMatrix, poly: Sequence[int]) -> bool:
             return bool(np.array_equal(coeffs, res[::-1].T))
     lead = poly[0]
     return [lead * c for c in char_poly(B)] == list(poly)
+
+
+def _deflated_match(B: DenseMatrix, poly: Sequence[int]) -> Optional[bool]:
+    """The deflated verdict of :func:`char_poly_matches` for a rational
+    B; None when B's row sums differ or its deflated matrix has a block
+    larger than 2."""
+    alpha = is_constant_row_sum(B)
+    if alpha is None:
+        return None
+    rows = deflated_rows(B)
+    blocks = _small_blocks(rows)
+    if blocks is None:
+        return None
+    a, d = alpha.numerator, alpha.denominator
+    # Q'' = Q / (d t - a) by synthetic division, exact in Z[t] exactly
+    # when Q(alpha) = 0
+    quotient, prev = [], 0
+    for c in poly[:-1]:
+        c += a * prev
+        if c % d:
+            return False
+        prev = c // d
+        quotient.append(prev)
+    if poly[-1] + a * prev:
+        return False
+    P, lam = [1], 1
+    for block in blocks:
+        if len(block) == 1:
+            (i,) = block
+            m, row = rows[i]
+            factor = (m, -row[i])
+        else:
+            i, j = block
+            (mi, ri), (mj, rj) = rows[i], rows[j]
+            trace = ri[i] * mj + rj[j] * mi
+            factor = (mi * mj, -trace, ri[i] * rj[j] - ri[j] * rj[i])
+        P = _poly_mul(P, factor)
+        lam *= factor[0]
+    return [quotient[0] * c for c in P] == [lam * c for c in quotient]
+
+
+def _small_blocks(rows: list) -> Optional[list]:
+    """The strongly connected components of the nonzero pattern of the
+    square matrix whose rows are ``rows`` ((m_i, integers) pairs, as
+    :func:`~diagforge.matrix.deflated_rows` gives them), as index tuples,
+    when none has more than two members; None otherwise.
+
+    Sink components are peeled off one at a time: a node with no edge
+    to the rest is one of size 1, and two nodes whose only edges to the
+    rest go to each other are one of size 2.  When neither is left, every
+    sink component of the rest has at least three members.
+    """
+    out = [
+        {j for j, x in enumerate(row) if x and j != i}
+        for i, (_, row) in enumerate(rows)
+    ]
+    into = [[] for _ in rows]
+    for i, targets in enumerate(out):
+        for j in targets:
+            into[j].append(i)
+    live, blocks = set(range(len(rows))), []
+    while live:
+        for i in live:
+            if not out[i]:
+                block = (i,)
+                break
+            if len(out[i]) == 1:
+                (j,) = out[i]
+                if out[j] == {i}:
+                    block = (i, j)
+                    break
+        else:
+            return None
+        for k in block:
+            live.remove(k)
+            for i in into[k]:
+                out[i].discard(k)
+        blocks.append(block)
+    return blocks
+
+
+def _poly_mul(p: Sequence[int], q: Sequence[int]) -> list:
+    """Product of two integer polynomials, highest degree first."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
 
 
 def _integer_rows(Z: DenseMatrix):

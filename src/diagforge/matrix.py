@@ -459,6 +459,28 @@ def is_constant_row_sum(A: DenseMatrix, tol: float = 1e-9):
     return None
 
 
+def deflated_rows(A: DenseMatrix) -> Optional[list]:
+    """The integer rows of D, D_ij = a_ij - a_0j for i, j >= 1: row 0
+    subtracted from every other row, then row 0 and column 0 dropped.
+    Row i comes as (m_i, m_i * row_i(D)), m_i = lcm(r_0, r_i), from A's
+    integer view; None unless A is rational.
+
+    When every row of A sums to alpha, S = I - (e - e_0) e_0^T gives
+    S A S^-1 = [[alpha, *], [0, D]], so char(A) = (t - alpha) char(D).
+    """
+    view = A._integer_view()
+    if view is None:
+        return None
+    (r0, top), *rest = view[0]
+    top = top[1:]
+    out = []
+    for r, ints in rest:
+        m = math.lcm(r, r0)
+        u, v = m // r, m // r0
+        out.append((m, [x * u - y * v for x, y in zip(ints[1:], top)]))
+    return out
+
+
 def _row_sums_array(a: np.ndarray) -> np.ndarray:
     """Row sums of a float or complex array, each added left to right
     from 0 as Python's ``sum`` of floats does (before Python 3.12)."""

@@ -24,6 +24,7 @@ from .matrix import (
     _diag_similarity_array,
     _row_sum_mean,
     _row_sums_array,
+    deflated_rows,
     diag_similarity,
     exact_nullspace,
     is_constant_row_sum,
@@ -159,11 +160,16 @@ def set_diagonal_cs(
 def _rewrite_diagonal(A: DenseMatrix, gs: tuple) -> tuple:
     """(A + e q^T, q) for q_i = gs_i - a_ii, unchecked: the caller knows
     that A has constant row sums and sum(gs) = trace(A).  Diagonal entries
-    are written as ``gs`` itself, which dodges float rounding."""
+    are written as ``gs`` itself, which dodges float rounding.  An exact
+    zero entry takes q_j itself, the same value and type as 0 + q_j; a
+    float one keeps the addition, since 0.0 + (-0.0) is 0.0."""
     q = tuple(g - d for g, d in zip(gs, A.diagonal()))
     out = []
     for i, row in enumerate(A.rows):
-        row = [x + qj for x, qj in zip(row, q)]
+        if A.exact:
+            row = [x + qj if x else qj for x, qj in zip(row, q)]
+        else:
+            row = [x + qj for x, qj in zip(row, q)]
         row[i] = gs[i]
         out.append(row)
     return DenseMatrix._trusted(out, A.exact), q
@@ -394,22 +400,59 @@ def _require_simple_row_sum(A: DenseMatrix, alpha) -> None:
     """Raise :class:`FeasibilityError` unless the row sum ``alpha`` of
     the exact constant-row-sum matrix A is a simple eigenvalue of A.
 
-    A e = alpha e, so alpha is simple exactly when (A - alpha I)^T has a
-    one-dimensional nullspace, spanned by a y with y . e != 0.  The
-    rewrite A + e q^T with sum(q) = 0 is then a similarity; at a
-    repeated alpha it can change the Jordan structure.
+    At a simple alpha the rewrite A + e q^T with sum(q) = 0 is a
+    similarity; at a repeated one it can change the Jordan structure.
+    For a rational A,
+    char(A) = (t - alpha) char(D) with D as in
+    :func:`~diagforge.matrix.deflated_rows`, so alpha is simple exactly
+    when det(alpha I - D) != 0.  With alpha = a / d, row i of D scaled by
+    d m_i is the integer row a m_i e_i - d (m_i row_i(D)), and the
+    determinant's sign is decided by fraction-free elimination
+    (:func:`_nonsingular`).  Otherwise A e = alpha e, and alpha is simple
+    exactly when (A - alpha I)^T has a one-dimensional nullspace, spanned
+    by a y with y . e != 0.
     """
-    shifted = [
-        [x - alpha if i == j else x for i, x in enumerate(col)]
-        for j, col in enumerate(zip(*A.rows))
-    ]
-    null = exact_nullspace(DenseMatrix._trusted(shifted, True))
-    if len(null) != 1 or not sum(null[0]):
+    rows = deflated_rows(A)
+    if rows is not None:
+        a, d = alpha.numerator, alpha.denominator
+        shifted = []
+        for i, (m, ints) in enumerate(rows):
+            row = [-d * x for x in ints]
+            row[i] += a * m
+            shifted.append(row)
+        simple = _nonsingular(shifted)
+    else:
+        shifted = [
+            [x - alpha if i == j else x for i, x in enumerate(col)]
+            for j, col in enumerate(zip(*A.rows))
+        ]
+        null = exact_nullspace(DenseMatrix._trusted(shifted, True))
+        simple = len(null) == 1 and bool(sum(null[0]))
+    if not simple:
         raise FeasibilityError(
             "the row sum of A is a repeated eigenvalue, so rewriting the "
             "diagonal at it need not be a similarity",
             condition="repeated-row-sum",
         )
+
+
+def _nonsingular(rows: list) -> bool:
+    """Whether the square integer matrix with rows ``rows`` (a list the
+    call consumes) has a nonzero determinant, by fraction-free (Bareiss)
+    elimination with row pivoting: each step keeps every entry an
+    integer, a minor of the matrix, by dividing exactly by the previous
+    pivot."""
+    prev = 1
+    while rows:
+        k = next((k for k, r in enumerate(rows) if r[0]), None)
+        if k is None:
+            return False
+        p, *tail = rows.pop(k)
+        rows = [
+            [(p * x - r[0] * y) // prev for x, y in zip(r[1:], tail)] for r in rows
+        ]
+        prev = p
+    return True
 
 
 def _certified(A, B, target, steps, spec_a=None):

@@ -7,7 +7,7 @@ import pytest
 
 import diagforge.eigen
 from diagforge.certify import certify
-from diagforge.matrix import DenseMatrix
+from diagforge.matrix import DenseMatrix, deflated_rows
 from diagforge.nonneg import realize_mixed, realize_suleimanova
 from diagforge.scalars import exact_complex
 
@@ -179,7 +179,8 @@ def wedge_24():
 def chain_18():
     """A mixed Smigoc realization at n = 18 (six wide pairs, three reals
     and one narrow pair), as the chain-exact benchmark workload builds
-    them; its identity bound is past 2^1279."""
+    them; its deflated matrix keeps a block larger than 2, so the identity
+    runs the modular kernel, with a bound past 2^1279."""
     reals = [-Fraction(k + 1, 2) for k in range(3)]
     pairs = [(Fraction(3, 2), Fraction(3, 10))]
     pairs += [(Fraction(k % 5 + 1, 2), Fraction(11 + k, 10)) for k in range(6)]
@@ -187,7 +188,7 @@ def chain_18():
     spectrum += reals
     for x, y in pairs:
         spectrum += [exact_complex(-x, x * y), exact_complex(-x, -x * y)]
-    weights = [(7 * k) % 10 for k in range(18)]
+    weights = [(7 * k + 1) % 10 for k in range(18)]
     gammas = [sum(spectrum) * Fraction(w, sum(weights)) for w in weights]
     return spectrum, gammas
 
@@ -375,7 +376,9 @@ class TestTargetPolynomial:
         assert [spectrum_verdict(B, t) for t in cases] == want
 
     def test_the_kernel_runs_one_slice_per_prime(self, monkeypatch):
-        B, spectrum, _ = wedge_24()
+        # no constant row sums, so the identity is not deflated
+        spectrum = seeded_targets(random.Random(11), 12)
+        B = conjugated(block_matrix(spectrum), random.Random(12))
         calls = spy_on_kernel(monkeypatch)
         assert spectrum_verdict(B, spectrum)
         ((slices, primes),) = calls
@@ -495,3 +498,153 @@ def test_an_entry_beyond_the_float_range_is_judged_exactly():
     assert cert.to_dict()["row_sum_deviation"] is None
     cert = certify(B, diagonal=[big, 3])
     assert not cert.ok and cert.diag_residual == math.inf
+
+
+def forbidden_kernel(*args, **kwargs):
+    raise AssertionError("a deflated identity ran the modular kernel")
+
+
+def rotation_block(rng):
+    """A 2x2 rational block P R P^-1 and its eigenvalues: R is
+    [[x, -y], [y, x]] (the pair x +- iy, y > 0) or diag(x, y)."""
+    x = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    y = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+    if rng.random() < 0.5:
+        R, values = [[x, -y], [y, x]], [exact_complex(x, y), exact_complex(x, -y)]
+    else:
+        y -= 5
+        R, values = [[x, 0], [0, y]], [x, y]
+    det = 0
+    while not det:
+        a, b, c, d = (Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4))
+        det = a * d - b * c
+    P, P_inv = [[a, b], [c, d]], [[d / det, -b / det], [-c / det, a / det]]
+    return matmul(matmul(P, R), P_inv), values
+
+
+def matmul(X, Y):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*Y)] for row in X]
+
+
+def rank_one_rewrite(rng, n):
+    """B = T + e q^T for a rational q and its spectrum, Perron value
+    first.  T's row 0 is (c, 0, ..., 0), every row sums to c, and its
+    tail is block lower-triangular with 1x1 and 2x2 diagonal blocks,
+    its indices shuffled; B's rows all sum to c + sum(q)."""
+    c = Fraction(rng.randint(-20, 20), rng.randint(1, 5))
+    tail = [[Fraction(0)] * (n - 1) for _ in range(n - 1)]
+    spectrum, starts, k = [], [], 0
+    while k < n - 1:
+        starts.append(k)
+        if k + 2 <= n - 1 and rng.random() < 0.6:
+            block, values = rotation_block(rng)
+            for i in range(2):
+                tail[k + i][k : k + 2] = block[i]
+            k += 2
+        else:
+            values = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))]
+            tail[k][k] = values[0]
+            k += 1
+        spectrum += values
+    for i in range(n - 1):
+        for j in range(max(s for s in starts if s <= i)):
+            if rng.random() < 0.5:
+                tail[i][j] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    order = list(range(n - 1))
+    rng.shuffle(order)
+    tail = [[tail[i][j] for j in order] for i in order]
+    rows = [[c] + [Fraction(0)] * (n - 1)] + [[c - sum(r)] + r for r in tail]
+    q = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)]
+    B = DenseMatrix([[x + qj for x, qj in zip(r, q)] for r in rows])
+    return B, [c + sum(q)] + spectrum
+
+
+class TestDeflation:
+    """A rational B with constant row sums whose deflated matrix has only
+    1x1 and 2x2 blocks is certified in integers, with no kernel."""
+
+    def test_wedge_realization_at_24_needs_no_kernel(self, monkeypatch):
+        B, spectrum, gammas = wedge_24()
+        monkeypatch.setattr(diagforge.eigen, "_char_polys_mod", forbidden_kernel)
+        cert = certify(
+            B, spectrum=spectrum, diagonal=gammas, nonneg=True, constant_row_sums=True
+        )
+        names = ("spectrum", "diagonal", "nonneg", "constant_row_sums")
+        assert cert.to_dict() == {
+            "ok": True,
+            "checks": dict.fromkeys(names, True),
+            "thresholds": dict.fromkeys(names, 0.0),
+            "spectrum_residual": 0.0,
+            "diag_residual": 0.0,
+            "min_entry": 0.0,
+            "row_sum_deviation": 0.0,
+            "computed_spectrum": [],
+        }
+
+    def test_seeded_rank_one_rewrites_match_the_verdict_over_q(self, monkeypatch):
+        rng = random.Random(20261023)
+        cases = []
+        for _ in range(40):
+            B, targets = rank_one_rewrite(rng, rng.randint(1, 9))
+            cases.append((B, targets))
+            # the Perron value moved by 1/7
+            cases.append((B, [targets[0] + Fraction(1, 7)] + targets[1:]))
+            # one other target moved by 1/7, with its conjugate
+            k = rng.randrange(len(targets))
+            z, moved = targets[k], list(targets)
+            moved[k] = z + Fraction(1, 7)
+            if not isinstance(z, Fraction):
+                moved[targets.index(z.conjugate())] = z.conjugate() + Fraction(1, 7)
+            cases.append((B, moved))
+            if len(targets) > 1 and isinstance(targets[-1], Fraction):
+                # the row sum is no target, and the trace is kept
+                cases.append((B, [targets[0] + 1] + targets[1:-1] + [targets[-1] - 1]))
+        want = [over_q(B, t) for B, t in cases]
+        assert want.count(True) == 40 and want.count(False) >= 80
+        monkeypatch.setattr(diagforge.eigen, "char_poly", forbidden_char_poly)
+        monkeypatch.setattr(diagforge.eigen, "_char_polys_mod", forbidden_kernel)
+        assert [spectrum_verdict(B, t) for B, t in cases] == want
+
+    def test_a_block_of_three_runs_the_kernel_once(self, monkeypatch):
+        # the tail's companion block of t^3 - 7t + 6 (roots 1, 2, -3) is
+        # strongly connected, so the identity is not deflated
+        tail = [[0, 0, -6, 0], [1, 0, 7, 0], [0, 1, 0, 0], [2, 0, 1, Fraction(1, 2)]]
+        c = Fraction(5, 3)
+        rows = [[c, 0, 0, 0, 0]] + [[c - sum(r)] + r for r in tail]
+        q = [Fraction(1, 3), Fraction(-2, 5), 0, Fraction(3, 7), 1]
+        B = DenseMatrix([[x + qj for x, qj in zip(r, q)] for r in rows])
+        assert diagforge.eigen._small_blocks(deflated_rows(B)) is None
+        targets = [c + sum(q), Fraction(1), Fraction(2), Fraction(-3), Fraction(1, 2)]
+        wrong = targets[:-1] + [Fraction(1, 3)]
+        for spectrum, verdict in ((targets, True), (wrong, False)):
+            calls = spy_on_kernel(monkeypatch)
+            assert over_q(B, spectrum) is verdict
+            assert spectrum_verdict(B, spectrum) is verdict
+            assert len(calls) == 1
+            monkeypatch.undo()
+
+    def test_sizes_1_and_2(self, monkeypatch):
+        one = DenseMatrix([[Fraction(-7, 3)]])
+        # rows sum to 2, and the trace is 5/6
+        two = DenseMatrix([[Fraction(1, 2), Fraction(3, 2)],
+                           [Fraction(5, 3), Fraction(1, 3)]])
+        cases = [
+            (one, [Fraction(-7, 3)]), (one, [Fraction(7, 3)]),
+            (two, [Fraction(2), Fraction(-7, 6)]),
+            (two, [Fraction(2), Fraction(-7, 6) + Fraction(1, 7)]),
+            (two, [Fraction(3), Fraction(-13, 6)]),
+        ]
+        want = [over_q(B, t) for B, t in cases]
+        assert want == [True, False, True, False, False]
+        monkeypatch.setattr(diagforge.eigen, "char_poly", forbidden_char_poly)
+        monkeypatch.setattr(diagforge.eigen, "_char_polys_mod", forbidden_kernel)
+        assert [spectrum_verdict(B, t) for B, t in cases] == want
+
+    def test_a_row_sum_outside_the_targets_fails_without_the_kernel(self, monkeypatch):
+        B, spectrum, _ = wedge_24()
+        # Perron value up by one, a real tail value down by one: the same
+        # trace, and the row sum is no target
+        moved = [spectrum[0] + 1, spectrum[1] - 1] + spectrum[2:]
+        assert not over_q(B, moved)
+        monkeypatch.setattr(diagforge.eigen, "_char_polys_mod", forbidden_kernel)
+        assert not spectrum_verdict(B, moved)

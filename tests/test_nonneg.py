@@ -689,22 +689,40 @@ def test_every_assignment_is_feasible_on_exact_input(tag, monkeypatch):
 def test_exact_realization_checks_only_at_entry_and_exit(tag, monkeypatch):
     # realize_mixed validates its input once and certifies its output once;
     # on exact input every builder in between is unchecked, so none of the
-    # validating entry points runs, and no matrix goes through the
-    # validating constructor
+    # validating entry points runs outside the certification, and no
+    # matrix goes through the validating constructor
+    import importlib
+
     import diagforge
     import diagforge.eigen
     import diagforge.matrix
     import diagforge.nonneg
     import diagforge.similarity
 
-    calls = []
+    # the package re-exports the function certify under the module's name
+    certify_module = importlib.import_module("diagforge.certify")
+    calls, certifying = [], []
 
     def spy(name, original):
         def wrapper(*args, **kwargs):
-            calls.append(name)
+            if name == "DenseMatrix.__init__" or not certifying:
+                calls.append(name)
             return original(*args, **kwargs)
 
         return wrapper
+
+    certify = certify_module.certify
+
+    def certify_spy(*args, **kwargs):
+        # the certification reads B's row sum (to deflate its identity),
+        # and is the one check of the output
+        certifying.append(1)
+        try:
+            return certify(*args, **kwargs)
+        finally:
+            certifying.pop()
+
+    monkeypatch.setattr(certify_module, "certify", certify_spy)
 
     monkeypatch.setattr(
         DenseMatrix, "__init__", spy("DenseMatrix.__init__", DenseMatrix.__init__)

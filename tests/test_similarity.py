@@ -9,6 +9,7 @@ import pytest
 
 import diagforge.eigen
 import diagforge.matrix
+import diagforge.similarity
 from diagforge.certify import certify
 from diagforge.eigen import char_poly, eigenvalues, match_multisets, right_eigenvector
 from diagforge.errors import CertificationError, FeasibilityError
@@ -16,6 +17,7 @@ from diagforge.matrix import DenseMatrix, exact_nullspace
 from diagforge.similarity import (
     DiagonalTarget,
     _certified,
+    _require_simple_row_sum,
     brauer_shift,
     embed_anchor,
     set_diagonal_cs,
@@ -245,6 +247,63 @@ class TestRowSumAnchor:
         assert char_poly(B) == char_poly(A)
         assert [s.op for s in trace.steps] == ["rank_one"]
         assert _nullity(B, 3) == 1 and _nullity(B, 1) == 1
+
+    def test_integer_elimination_keeps_the_nullspace_verdict(self, monkeypatch):
+        # A = S^-1 [[alpha, w], [0, D]] S with S = I - (e - e_0) e_0^T, then
+        # conjugated by transvections that fix e: alpha is simple when it
+        # is no eigenvalue of D; with D's first column alpha e_0 it is
+        # repeated, semisimple when w_0 = 0 and defective otherwise
+        def forbidden(*args):
+            raise AssertionError("a rational A went through exact_nullspace")
+
+        monkeypatch.setattr(diagforge.similarity, "exact_nullspace", forbidden)
+        rng = random.Random(20261024)
+        rat = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5))  # noqa: E731
+        kinds = []
+        for k in range(60):
+            n = rng.randint(2, 9)
+            kind = ("simple", "semisimple", "defective")[k % 3]
+            alpha = rat()
+            M = [[rat() if j >= i else Fraction(0) for j in range(n)] for i in range(n)]
+            M[0][0] = alpha
+            for i in range(2, n):
+                M[i] = [Fraction(0)] + [rat() for _ in range(n - 1)]
+            if kind != "simple":
+                M[1][1] = alpha
+                for i in range(2, n):
+                    M[i][1] = Fraction(0)
+                M[0][1] = Fraction(0) if kind == "semisimple" else rat() or Fraction(1)
+            # S^-1 M S: column 0 becomes M (2 e_0 - e), then row 0 is
+            # added to every other row
+            rows = [[2 * r[0] - sum(r)] + r[1:] for r in M]
+            rows = [rows[0]] + [[x + y for x, y in zip(r, rows[0])] for r in rows[1:]]
+            for _ in range(2 * n):
+                i, j, l = rng.sample(range(n), 3) if n > 2 else (0, 1, 1)
+                if j == l:
+                    continue
+                c = rat()
+                # A <- E A E^-1, E = I + c e_i (e_j - e_l)^T
+                rows[i] = [x + c * (y - z) for x, y, z in zip(rows[i], rows[j], rows[l])]
+                for r in rows:
+                    r[j] -= c * r[i]
+                    r[l] += c * r[i]
+            A = DenseMatrix(rows)
+            assert diagforge.matrix.is_constant_row_sum(A) == alpha
+            shifted = (A - DenseMatrix.diagonal_matrix([alpha] * n)).transpose()
+            null = exact_nullspace(shifted)
+            want = len(null) == 1 and sum(null[0]) != 0
+            try:
+                _require_simple_row_sum(A, alpha)
+                got = True
+            except FeasibilityError as err:
+                assert err.condition == "repeated-row-sum"
+                got = False
+            assert got is want, (k, kind)
+            kinds.append((kind, want, len(null)))
+        # every kind occurs, with the verdict and nullity it was built for
+        assert {(kind, want, min(nullity, 2)) for kind, want, nullity in kinds} == {
+            ("simple", True, 1), ("semisimple", False, 2), ("defective", False, 1)
+        }
 
     def test_cli_exits_3(self, tmp_path):
         import json
